@@ -34,7 +34,9 @@ class ActiveSpace:
     The inactive space is the lowest (n_elec - n_active_elec) / 2
     non-active orbitals; everything else is virtual.  Within the active
     space the first n_active_elec / 2 orbitals are occupied in the
-    reference determinant.
+    reference determinant.  ``mode_table[mode]`` holds the orbital class
+    of a spin-orbital mode and its index on the active register (-1 for
+    frozen modes).
     """
 
     n_orb: int
@@ -56,9 +58,20 @@ class ActiveSpace:
         if self.n_active_elec > 2 * len(active):
             raise ValueError("active orbitals cannot hold the active electrons")
         n_inactive = (self.n_elec - self.n_active_elec) // 2
-        rest = [p for p in range(self.n_orb) if p not in set(active)]
+        rest = [p for p in range(self.n_orb) if p not in active]
         if len(rest) < n_inactive:
             raise ValueError("not enough orbitals outside the active space")
+        inactive = tuple(rest[:n_inactive])
+        object.__setattr__(self, "_inactive", inactive)
+        object.__setattr__(self, "_virtual", tuple(rest[n_inactive:]))
+        table = []
+        for mode in range(2 * self.n_orb):
+            orbital, spin = divmod(mode, 2)
+            if orbital in active:
+                table.append((_ACTIVE, 2 * active.index(orbital) + spin))
+            else:
+                table.append((_INACTIVE if orbital in inactive else _VIRTUAL, -1))
+        object.__setattr__(self, "mode_table", tuple(table))
 
     @classmethod
     def full(cls, n_orb: int, n_elec: int) -> "ActiveSpace":
@@ -70,13 +83,11 @@ class ActiveSpace:
 
     @property
     def inactive(self) -> tuple[int, ...]:
-        rest = [p for p in range(self.n_orb) if p not in set(self.active)]
-        return tuple(rest[: self.n_inactive])
+        return self._inactive
 
     @property
     def virtual(self) -> tuple[int, ...]:
-        rest = [p for p in range(self.n_orb) if p not in set(self.active)]
-        return tuple(rest[self.n_inactive :])
+        return self._virtual
 
     @property
     def occupied_active(self) -> tuple[int, ...]:
@@ -93,18 +104,6 @@ class ActiveSpace:
     @property
     def n_active_modes(self) -> int:
         return 2 * len(self.active)
-
-    def orbital_class(self, orbital: int) -> int:
-        if orbital in set(self.active):
-            return _ACTIVE
-        if orbital in set(self.inactive):
-            return _INACTIVE
-        return _VIRTUAL
-
-    def local_mode(self, mode: int) -> int:
-        """Map a global spin-orbital mode into the active-register numbering."""
-        orbital, spin = divmod(mode, 2)
-        return 2 * self.active.index(orbital) + spin
 
 
 @dataclass
@@ -436,10 +435,6 @@ def dipole_poly(system: MolecularSystem, axis: str, tol: float = 1e-14) -> Fermi
     return poly
 
 
-def _mode_class(mode: int, space: ActiveSpace) -> int:
-    return space.orbital_class(mode // 2)
-
-
 def reduce_term(
     ops: FermionTerm, space: ActiveSpace
 ) -> tuple[float, FermionTerm] | None:
@@ -462,8 +457,9 @@ def reduce_term(
     inactive_ops: list[tuple[int, bool]] = []
     active_ops: list[tuple[int, bool]] = []
     virtual_ops: list[tuple[int, bool]] = []
+    table = space.mode_table
     for mode, create in ops:
-        cls = _mode_class(mode, space)
+        cls, local = table[mode]
         if cls == _INACTIVE:
             if (seen_active + seen_virtual) % 2:
                 sign = -sign
@@ -472,7 +468,7 @@ def reduce_term(
             if seen_virtual % 2:
                 sign = -sign
             seen_active += 1
-            active_ops.append((space.local_mode(mode), create))
+            active_ops.append((local, create))
         else:
             seen_virtual += 1
             virtual_ops.append((mode, create))
@@ -492,20 +488,16 @@ def _filled_register_expectation(ops: list[tuple[int, bool]], filled: bool) -> i
     times, so the static occupation parity below each mode cancels over
     the sequence and only currently flipped modes contribute to signs.
     """
-    if not ops:
-        return 1
-    flipped: set[int] = set()  # modes whose occupation currently differs from det
+    flipped = 0  # mask of modes whose occupation currently differs from det
     sign = 1
     for mode, create in reversed(ops):
-        occ = (mode not in flipped) if filled else (mode in flipped)
-        if create == occ:
+        bit = 1 << mode
+        if create == (not flipped & bit if filled else bool(flipped & bit)):
             return 0
-        if sum(1 for f in flipped if f < mode) % 2:
+        if (flipped & (bit - 1)).bit_count() & 1:
             sign = -sign
-        flipped.symmetric_difference_update((mode,))
-    if flipped:
-        return 0
-    return sign
+        flipped ^= bit
+    return 0 if flipped else sign
 
 
 def reduce_to_active(

@@ -10,6 +10,20 @@ Conventions used throughout the package:
   carried by qubit ``m``.
 * Coefficients with magnitude below :data:`DROP_TOLERANCE` are dropped
   when sums are simplified.
+
+The fermion-to-qubit maps work on bit masks and render ``str`` labels
+only for the finished sum.  Qubit ``q`` is bit ``q``; a pair ``(x, z)``
+is the Hermitian string ``i^(x.z) X^x Z^z`` with ``x.z = popcount(x & z)``,
+so ``Y = iXZ``.  Jordan-Wigner sends ``a_m^dagger`` (``a_m``) to Z on the
+qubits below ``m`` times ``sigma+ = |1><0|`` (``sigma- = |0><1|``) on
+qubit ``m``.  Each monomial is walked once, keeping a signed local
+operator per qubit (I, Z or a matrix unit ``|r><c|``; a product of matrix
+units is a matrix unit or zero).  Monomials with equal local operators are
+summed, and each distinct product is expanded once through
+``|r><r| = (I + (-1)^r Z) / 2`` and ``sigma+- = (X -+ iY) / 2``.  Parity
+is a linear map on the masks: ``x'`` is the prefix XOR of ``x`` (bit
+``q`` is ``x_0 ^ ... ^ x_q``), ``z' = z ^ (z >> 1)``, and the string picks
+up the sign ``i^(x.z - x'.z')``.
 """
 
 from __future__ import annotations
@@ -168,17 +182,6 @@ class PauliSum:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "PauliSum") -> "PauliSum":
-        """Operator product of two sums with full phase bookkeeping."""
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        out = PauliSum(self.n_qubits)
-        for sa, ca in self._coeffs.items():
-            for sb, cb in other._coeffs.items():
-                prod = multiply(PauliTerm(sa, ca), PauliTerm(sb, cb))
-                out.add_term(prod.string, prod.coeff)
-        return out
-
     def dagger(self) -> "PauliSum":
         """Hermitian adjoint: conjugate every coefficient (strings are Hermitian)."""
         return PauliSum(self.n_qubits, {s: c.conjugate() for s, c in self._coeffs.items()})
@@ -287,10 +290,11 @@ class FermionPolynomial:
     sequences merge their coefficients.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_sorted")
 
     def __init__(self, terms: dict[FermionTerm, complex] | None = None):
         self._terms: dict[FermionTerm, complex] = dict(terms) if terms else {}
+        self._sorted: tuple[tuple[FermionTerm, complex], ...] | None = None
 
     @classmethod
     def from_term(cls, ops: Sequence[FermionOp], coeff: complex = 1.0) -> "FermionPolynomial":
@@ -301,14 +305,18 @@ class FermionPolynomial:
         return cls({(): coeff})
 
     def add_term(self, ops: FermionTerm, coeff: complex) -> None:
+        self._sorted = None
         new = self._terms.get(ops, 0.0) + coeff
         if abs(new) <= DROP_TOLERANCE:
             self._terms.pop(ops, None)
         else:
             self._terms[ops] = new
 
-    def items(self) -> list[tuple[FermionTerm, complex]]:
-        return sorted(self._terms.items())
+    def items(self) -> tuple[tuple[FermionTerm, complex], ...]:
+        """Terms sorted by operator sequence, cached until the next mutation."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._terms.items()))
+        return self._sorted
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -386,23 +394,97 @@ def commutator(a: FermionPolynomial, b: FermionPolynomial) -> FermionPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _jw_images(n_modes: int) -> tuple[list[PauliSum], list[PauliSum]]:
-    """Jordan-Wigner images of a_m^dagger and a_m on an n_modes register."""
-    creation = []
-    annihilation = []
-    for m in range(n_modes):
-        axes_x = ["I"] * n_modes
-        axes_y = ["I"] * n_modes
-        for t in range(m):
-            axes_x[t] = "Z"
-            axes_y[t] = "Z"
-        axes_x[m] = "X"
-        axes_y[m] = "Y"
-        sx = "".join(axes_x)
-        sy = "".join(axes_y)
-        creation.append(PauliSum(n_modes, {sx: 0.5, sy: -0.5j}))
-        annihilation.append(PauliSum(n_modes, {sx: 0.5, sy: 0.5j}))
-    return creation, annihilation
+# Qubit axis from the mask bits (x, z): I, X, Z and Y = iXZ.
+_MASK_AXES = "IXZY"
+
+
+def _local_operators(poly: FermionPolynomial) -> dict[tuple, complex]:
+    """Sum the monomials' Jordan-Wigner images by local-operator key.
+
+    A key ``(units, rows, cols, zs)`` puts |r><c| on the qubits in
+    ``units`` (row and column bits in ``rows``/``cols``), Z on ``zs`` and
+    I elsewhere.  Vanishing words are skipped.
+    """
+    out: dict[tuple, complex] = {}
+    for ops, coeff in poly.items():
+        units = rows = cols = zs = 0
+        sign = 1
+        for mode, create in ops:
+            bit = 1 << mode
+            below = bit - 1
+            # Z on every qubit below the mode; |r><c| Z = (-1)^c |r><c|.
+            if (cols & below).bit_count() & 1:
+                sign = -sign
+            zs ^= below & ~units
+            # a+ carries sigma+ = |1><0|, a carries sigma- = |0><1|.
+            if units & bit:
+                if bool(cols & bit) != create:
+                    break
+                cols ^= bit
+            else:
+                if create and zs & bit:
+                    sign = -sign  # Z |1><0| = -|1><0|
+                zs &= ~bit
+                units |= bit
+                if create:
+                    rows |= bit
+                else:
+                    cols |= bit
+        else:
+            key = (units, rows, cols, zs)
+            out[key] = out.get(key, 0.0) + sign * coeff
+    return out
+
+
+def _expand(key: tuple, coeff: complex) -> list[tuple[int, int, complex]]:
+    """Expand one local-operator product into (x, z, coefficient) terms."""
+    units, rows, cols, zs = key
+    terms = [(0, zs, complex(coeff))]
+    while units:
+        bit = units & -units
+        units ^= bit
+        if (rows ^ cols) & bit:  # sigma+- = (X -+ iY) / 2
+            xb, half = bit, (-0.5j if rows & bit else 0.5j)
+        else:  # |r><r| = (I + (-1)^r Z) / 2
+            xb, half = 0, (-0.5 if rows & bit else 0.5)
+        terms = [
+            t for x, z, c in terms for t in ((x | xb, z, 0.5 * c), (x | xb, z | bit, half * c))
+        ]
+    return terms
+
+
+def _parity_masks(x: int, z: int, n_modes: int) -> tuple[int, int, int]:
+    """Parity image (x', z', sign) of the string i^(x.z) X^x Z^z."""
+    xp = x
+    shift = 1
+    while shift < n_modes:
+        xp ^= xp << shift
+        shift <<= 1
+    xp &= (1 << n_modes) - 1
+    zp = z ^ (z >> 1)
+    turns = (x & z).bit_count() - (xp & zp).bit_count()
+    return xp, zp, -1 if turns % 4 else 1
+
+
+def _map_masks(poly: FermionPolynomial, n_modes: int, parity: bool) -> PauliSum:
+    if poly.max_mode() >= n_modes:
+        raise ValueError("polynomial acts on a mode outside the register")
+    acc: dict[tuple[int, int], complex] = {}
+    for key, coeff in _local_operators(poly).items():
+        for x, z, c in _expand(key, coeff):
+            if parity:
+                x, z, sign = _parity_masks(x, z, n_modes)
+                c = sign * c
+            acc[x, z] = acc.get((x, z), 0.0) + c
+    qubits = range(n_modes)
+    return PauliSum(
+        n_modes,
+        {
+            "".join(_MASK_AXES[(x >> q & 1) | (z >> q & 1) << 1] for q in qubits): c
+            for (x, z), c in acc.items()
+            if abs(c) > DROP_TOLERANCE
+        },
+    )
 
 
 def jordan_wigner(poly: FermionPolynomial, n_modes: int) -> PauliSum:
@@ -419,52 +501,7 @@ def jordan_wigner(poly: FermionPolynomial, n_modes: int) -> PauliSum:
     Returns:
         The mapped operator as a PauliSum.
     """
-    if poly.max_mode() >= n_modes:
-        raise ValueError("polynomial acts on a mode outside the register")
-    creation, annihilation = _jw_images(n_modes)
-    out = PauliSum(n_modes)
-    ident = identity_string(n_modes)
-    for ops, coeff in poly.items():
-        acc = PauliSum(n_modes, {ident: coeff})
-        for mode, create in ops:
-            acc = acc @ (creation[mode] if create else annihilation[mode])
-        out = out + acc
-    return out
-
-
-def _cnot_conjugate(string: str, coeff: complex, control: int, target: int) -> tuple[str, complex]:
-    """Conjugate one Pauli term by CNOT(control -> target)."""
-    axes = list(string)
-    xc, zc = _axis_bits(axes[control])
-    xt, zt = _axis_bits(axes[target])
-    # CNOT propagates X from control to target and Z from target to control.
-    xt_new = xt ^ xc
-    zc_new = zc ^ zt
-    if xc and zt and not (xt ^ zc):
-        coeff = -coeff
-    axes[control] = _bits_axis(xc, zc_new)
-    axes[target] = _bits_axis(xt_new, zt)
-    return "".join(axes), coeff
-
-
-def _axis_bits(axis: str) -> tuple[int, int]:
-    if axis == "I":
-        return 0, 0
-    if axis == "X":
-        return 1, 0
-    if axis == "Y":
-        return 1, 1
-    return 0, 1
-
-
-def _bits_axis(x: int, z: int) -> str:
-    if x and z:
-        return "Y"
-    if x:
-        return "X"
-    if z:
-        return "Z"
-    return "I"
+    return _map_masks(poly, n_modes, parity=False)
 
 
 def parity_transform_bits(bits: Sequence[int]) -> list[int]:
@@ -492,14 +529,7 @@ def parity_map(poly: FermionPolynomial, n_modes: int) -> PauliSum:
     Returns:
         The mapped operator as a PauliSum.
     """
-    jw = jordan_wigner(poly, n_modes)
-    out = PauliSum(n_modes)
-    for string, coeff in jw.terms():
-        s, c = string, coeff
-        for j in range(1, n_modes):
-            s, c = _cnot_conjugate(s, c, j - 1, j)
-        out.add_term(s, c)
-    return out
+    return _map_masks(poly, n_modes, parity=True)
 
 
 MAPPINGS = ("jw", "parity")

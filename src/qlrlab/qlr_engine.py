@@ -211,17 +211,15 @@ class _AtomRegistry:
         self._space = space
         self._mapping = mapping
         self._n_qubits = space.n_active_modes
-        active = set(space.active)
         self._frozen_modes = {
-            mode
-            for mode in range(2 * space.n_orb)
-            if mode // 2 not in active
+            mode for mode, (_, local) in enumerate(space.mode_table) if local < 0
         }
         self._buckets: dict[tuple, dict] = {}
         self._words: dict[tuple, tuple] = {}
         self._paulis: dict[tuple, PauliSum] = {}
         self._measured: dict[tuple, tuple] = {}
         self._identity: dict[tuple, float] = {}
+        self._terms_mapped = 0
 
     def add_poly(self, token: tuple, poly: FermionPolynomial) -> None:
         self._polys[token] = poly
@@ -267,7 +265,7 @@ class _AtomRegistry:
                 parts[pos] = ops
             for pivot_ops, pivot_coeff in bucket:
                 parts[pivot] = pivot_ops
-                seq = tuple(op for part in parts for op in part)
+                seq = tuple(itertools.chain.from_iterable(parts))
                 reduced = reduce_term(seq, self._space)
                 if reduced is None:
                     continue
@@ -282,6 +280,7 @@ class _AtomRegistry:
         return result
 
     def _finish(self, key: tuple, scalar: complex, poly: FermionPolynomial) -> None:
+        self._terms_mapped += len(poly)
         pauli = map_to_paulis(poly, self._n_qubits, self._mapping)
         if abs(scalar) > 1e-14:
             pauli.add_term("I" * self._n_qubits, scalar)
@@ -321,6 +320,16 @@ class _AtomRegistry:
 
     def measured(self, key: tuple) -> tuple:
         return self._measured[key]
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "atoms": len(self._paulis),
+            "reduced_words": len(self._words),
+            "fermion_terms": self._terms_mapped,
+            "measured_strings": len(
+                {string for measured in self._measured.values() for string, _ in measured}
+            ),
+        }
 
     def identity_real(self, key: tuple) -> float:
         return self._identity[key]
@@ -470,11 +479,19 @@ class ResponseBuilder:
                     key = (tag, i, j)
                     self._plans[key] = self._compile_element(tag, i, j)
         logger.debug(
-            "compiled %d plans for %s (%d operators)",
+            "compiled %d plans for %s (%d operators): %s",
             len(self._plans),
             parametrization,
             n,
+            ", ".join(f"{k}={v}" for k, v in self.compile_stats.items()),
         )
+
+    @property
+    def compile_stats(self) -> dict[str, int]:
+        """Deterministic counters: plans, compiled units (atoms and merged
+        direct sums), reduced words, mapped fermion terms and distinct
+        measured strings, including lazily compiled plans built so far."""
+        return {"plans": len(self._plans), **self._registry.stats()}
 
     # -- symbolic compilation ------------------------------------------------
 

@@ -178,17 +178,86 @@ def test_mappings_unitarily_equivalent_random(seed=3):
         assert np.allclose(np.linalg.eigvalsh(jw), np.linalg.eigvalsh(par), atol=1e-10)
 
 
+def _dense_image(poly, n_modes, mapping):
+    """Oracle image: the dense fermion matrix, basis-changed for parity."""
+    dense = dense_fermion(poly, n_modes)
+    if mapping == "parity":
+        perm = parity_permutation(n_modes)
+        dense = perm @ dense @ perm.T
+    return dense
+
+
 def test_mapped_image_matches_dense_fermion(seed=11):
     rng = np.random.default_rng(seed)
-    n_modes = 4
-    for mapping in ("jw",):
-        for _ in range(10):
+    for mapping in ("jw", "parity"):
+        for _ in range(40):
+            n_modes = int(rng.integers(4, 7))
             poly = FermionPolynomial()
-            for _ in range(3):
-                ops = ((int(rng.integers(n_modes)), True), (int(rng.integers(n_modes)), False))
-                poly.add_term(ops, complex(rng.normal(), rng.normal()))
+            for _ in range(int(rng.integers(1, 4))):
+                # Words of 2-12 operators on few distinct modes, so modes
+                # repeat.  Most alternate creation and annihilation on each
+                # mode and survive; the rest are free and often vanish.
+                modes = rng.choice(n_modes, size=int(rng.integers(1, 5)), replace=False)
+                alternate = rng.integers(3) > 0
+                last: dict[int, bool] = {}
+                ops = []
+                for _ in range(int(rng.integers(2, 13))):
+                    mode = int(rng.choice(modes))
+                    create = bool(rng.integers(2))
+                    if alternate and mode in last:
+                        create = not last[mode]
+                    last[mode] = create
+                    ops.append((mode, create))
+                poly.add_term(tuple(ops), complex(rng.normal(), rng.normal()))
             image = map_to_paulis(poly, n_modes, mapping)
-            assert np.allclose(dense_pauli_sum(image), dense_fermion(poly, n_modes), atol=1e-12)
+            assert np.allclose(
+                dense_pauli_sum(image), _dense_image(poly, n_modes, mapping), atol=1e-12
+            )
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+@pytest.mark.parametrize(
+    "ops",
+    [
+        ((2, False), (2, False)),  # a_m a_m vanishes
+        ((3, True), (1, True), (3, True)),  # repeated creation vanishes
+        ((4, True),),  # Z string over qubits 0-3, no ladder there
+        ((5, True), (1, False), (0, True)),  # odd word with a gap in the string
+        ((1, True), (1, False), (1, True), (1, False)),  # n_1 n_1 = n_1
+        ((2, False), (2, True), (0, False), (0, True)),  # hole numbers
+        ((5, False), (3, True), (5, True), (0, False), (3, False), (0, True)),
+    ],
+)
+def test_edge_words_match_dense_fermion(mapping, ops):
+    n_modes = 6
+    poly = FermionPolynomial.from_term(ops, 0.7 - 0.2j)
+    image = map_to_paulis(poly, n_modes, mapping)
+    dense = _dense_image(poly, n_modes, mapping)
+    assert np.allclose(dense_pauli_sum(image), dense, atol=1e-12)
+    if not np.any(dense):
+        assert len(image) == 0
+
+
+def test_mapping_rejects_out_of_range_mode():
+    poly = FermionPolynomial.from_term(((4, True), (0, False)))
+    for mapping in ("jw", "parity"):
+        with pytest.raises(ValueError):
+            map_to_paulis(poly, 4, mapping)
+
+
+def test_fermion_items_cache_tracks_mutation():
+    poly = FermionPolynomial.from_term(((1, True), (0, False)), 2.0)
+    first = poly.items()
+    assert poly.items() is first
+    assert isinstance(first, tuple)
+    poly.add_term(((0, True), (1, False)), 1.0)
+    assert poly.items() == (
+        (((0, True), (1, False)), 1.0),
+        (((1, True), (0, False)), 2.0),
+    )
+    assert first == ((((1, True), (0, False)), 2.0),)
+    poly.add_term(((0, True), (1, False)), -1.0)
+    assert poly.items() == first
 
 
 # -- spin-adapted operator set -----------------------------------------------

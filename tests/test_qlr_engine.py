@@ -1,6 +1,8 @@
 """Response matrices, eigenproblem, oscillator strengths, measurement counting."""
 
 import dataclasses
+import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -339,6 +341,99 @@ def test_count_measurements_h2(h2_builders):
         assert counts["ps_qwc"] <= counts["qwc"] <= counts["none"]
         assert counts["ps_qwc"] <= 0.25 * counts["none"]
     assert h2_builders["naive"].count_measurements()["ps_qwc"] == 9
+
+
+# Frozen plan digests: (sha256 of every measurement unit's key and measured
+# string sequence in plan order, number of coefficients, projections of the
+# coefficient vector).  They pin the first-fit clique order and the sampled
+# streams against a reordered or re-valued compile.
+_PLAN_DIGESTS = {
+    ("h2", "naive"): (
+        "ddc528c39c7e2ae8d5d9aa4bc3879305e34f02c020705e362ec4eb5c8dd09cfb",
+        105,
+        (-0.022480724281225162, -1.7273816422231771, 0.6216176736003525),
+    ),
+    ("h2", "proj"): (
+        "aa342d96282e4032d3fe7e54eb1af80d8ea272322d0ad2a5e3869312e68745fe",
+        278,
+        (-0.42805747237489333, -1.0374594543246367, 0.979892756432639),
+    ),
+    ("h2", "allproj"): (
+        "aa342d96282e4032d3fe7e54eb1af80d8ea272322d0ad2a5e3869312e68745fe",
+        278,
+        (-0.42805747237489333, -1.0374594543246367, 0.979892756432639),
+    ),
+    ("h6", "naive"): (
+        "8b8701172ea6e3c5a6406e21c6eaed627cc0ca570b130ae4704c156ae12496b4",
+        2089,
+        (11.558806139080883, -2.0291921755107976, 5.990403752110914),
+    ),
+    ("h6", "proj"): (
+        "0f4438cc9d6a6d541e065ded60853f5099fc64a11435f6fed643d9c244745b06",
+        2194,
+        (10.07583172900064, -9.276334285584138, 3.9039184995654903),
+    ),
+    ("h6", "allproj"): (
+        "db6056b5446c644362a812228a35767a2a877f8150d57d80dad11ceafaf203da",
+        1792,
+        (-32.39573247250243, -22.454790824145974, -29.506988007022642),
+    ),
+}
+
+
+def _plan_digest(builder):
+    """Digest the compiled units in plan order.
+
+    Coefficients (identity part first, then the measured strings) enter
+    through a plain sum and two fixed random projections, compared with a
+    tolerance, so last-bit rounding differences cannot flip the digest.
+    """
+    registry = builder._registry
+    seen = set()
+    lines = []
+    coeffs = []
+    for plan in builder._plans.values():
+        for key in plan.unit_keys():
+            if key in seen:
+                continue
+            seen.add(key)
+            measured = registry.measured(key)
+            lines.append(repr(key) + ":" + ",".join(s for s, _ in measured))
+            coeffs.append(registry.identity_real(key))
+            coeffs.extend(c for _, c in measured)
+    c = np.array(coeffs)
+    weights = np.random.default_rng(0).standard_normal((2, c.size))
+    sha = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return sha, c.size, (c.sum(), *(weights @ c))
+
+
+@pytest.mark.parametrize("par", PARAMETRIZATIONS)
+def test_compiled_plans_match_frozen_digest(par, h2_ground, h6_ground):
+    # Fresh builders: shared ones gain lazily compiled plans in other tests.
+    for name, ground in (("h2", h2_ground), ("h6", h6_ground)):
+        sha, size, projections = _plan_digest(ResponseBuilder(ground, par))
+        want_sha, want_size, want_projections = _PLAN_DIGESTS[(name, par)]
+        assert (sha, size) == (want_sha, want_size), name
+        assert np.allclose(projections, want_projections, rtol=0.0, atol=1e-9), name
+
+
+def test_compile_stats(h2_ground, caplog):
+    builder = ResponseBuilder(h2_ground, "naive")
+    stats = builder.compile_stats
+    n = len(builder.basis)
+    assert stats["plans"] == 3 * n * (n + 1) // 2
+    assert stats["atoms"] >= 1
+    assert stats["reduced_words"] >= stats["atoms"]
+    assert stats["fermion_terms"] > 0
+    registry = builder._registry
+    strings = {s for key in registry._measured for s, _ in registry.measured(key)}
+    assert stats["measured_strings"] == len(strings)
+    assert all(type(v) is int for v in stats.values())
+    with caplog.at_level(logging.DEBUG, logger="qlrlab.qlr_engine"):
+        again = ResponseBuilder(h2_ground, "naive")
+    assert again.compile_stats == stats
+    record = [r.getMessage() for r in caplog.records if "compiled" in r.getMessage()]
+    assert record and all(f"{k}={v}" in record[-1] for k, v in stats.items())
 
 
 # -- sampled evaluation ----------------------------------------------------------------

@@ -14,6 +14,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -46,6 +47,8 @@ from .qlr_engine import (
 )
 from .sim_engine import ConvergenceError, NoiseModel, OOVQEResult, TUCCSDAnsatz, oo_vqe
 
+logger = logging.getLogger(__name__)
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
@@ -75,7 +78,6 @@ class RunConfig:
     seed: int = 0
     fwhm_ev: float = 0.5
     points: int = 2000
-    threads: int = 0
     ground: str = ""
     qlr: str = ""
 
@@ -119,6 +121,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             key = key.replace("-", "_")
+            if key == "threads":  # older configs set the campaign thread pool
+                logger.warning("config key threads is no longer used; ignoring it")
+                continue
             if key not in values:
                 raise ValueError(f"unknown config key: {key}")
             values[key] = raw
@@ -563,7 +568,6 @@ def cmd_campaign(cfg: RunConfig) -> int:
             noise=noise,
             mitigator=mitigator,
             master_seed=cfg.seed,
-            threads=cfg.threads or None,
         )
         campaigns["ps_on" if saving else "ps_off"] = _campaign_payload(cfg, result)
     payload = {
@@ -716,7 +720,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="master seed")
     common.add_argument("--fwhm-ev", dest="fwhm_ev", type=float, help="Lorentzian FWHM in eV")
     common.add_argument("--points", type=int, help="spectrum grid size")
-    common.add_argument("--threads", type=int, help="campaign worker threads (0 = auto)")
     common.add_argument("--ground", help="ground-state artifact path")
     common.add_argument("--qlr", help="qlr artifact path")
     common.add_argument("--out", help="output directory")

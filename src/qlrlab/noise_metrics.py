@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,15 +256,6 @@ class CampaignResult:
         }
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("QLRLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def run_campaign(
     builder: ResponseBuilder,
     runs: int = 250,
@@ -275,16 +264,15 @@ def run_campaign(
     noise=None,
     mitigator=None,
     master_seed: int = 0,
-    threads: int | None = None,
 ) -> CampaignResult:
     """Run independently seeded sampled problems and collect the spread.
 
-    The builder is shared read-only; every run gets a private cache
-    seeded by (master_seed, run_id), so results are deterministic and
-    independent of the thread count.  Runs whose electronic Hessian has
-    a negative eigenvalue are discarded from the spread statistics and
-    counted in failure_fraction.  shots=None runs the exact evaluator
-    once and replicates it, which is the infinite-shot surrogate.
+    The builder is shared; every run gets a private cache seeded by
+    (master_seed, run_id), so results are deterministic.  Runs whose
+    electronic Hessian has a negative eigenvalue are discarded from the
+    spread statistics and counted in failure_fraction.  shots=None runs
+    the exact evaluator once and replicates it, which is the
+    infinite-shot surrogate.
     """
     if runs <= 0:
         raise ValueError("runs must be positive")
@@ -292,8 +280,8 @@ def run_campaign(
         solution = solve(builder.evaluate_exact(with_delta=False))
         solutions = [solution] * runs
     else:
-
-        def one(run_id: int) -> QLRSolution:
+        solutions = []
+        for run_id in range(runs):
             problem = builder.evaluate_sampled(
                 shots,
                 master_seed=master_seed,
@@ -302,14 +290,7 @@ def run_campaign(
                 mitigator=mitigator,
                 pauli_saving=pauli_saving,
             )
-            return solve(problem)
-
-        workers = _thread_count(threads)
-        if workers == 1:
-            solutions = [one(r) for r in range(runs)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                solutions = list(pool.map(one, range(runs)))
+            solutions.append(solve(problem))
     valid = np.array([sol.valid for sol in solutions], dtype=bool)
     failure_fraction = float(1.0 - valid.sum() / runs)
     omegas = None

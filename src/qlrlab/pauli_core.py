@@ -122,13 +122,6 @@ class PauliSum:
         self.n_qubits = n_qubits
         self._coeffs: dict[str, complex] = dict(coeffs) if coeffs else {}
 
-    @classmethod
-    def from_terms(cls, n_qubits: int, terms: Iterable[PauliTerm]) -> "PauliSum":
-        out = cls(n_qubits)
-        for term in terms:
-            out.add_term(term.string, term.coeff)
-        return out
-
     def copy(self) -> "PauliSum":
         return PauliSum(self.n_qubits, self._coeffs)
 
@@ -244,6 +237,13 @@ class CliqueCover:
         idx = len(self.cliques) - 1
         self.member_index[string] = idx
         return idx
+
+    def copy(self) -> "CliqueCover":
+        return CliqueCover(
+            self.n_qubits,
+            [Clique(clique.axes, list(clique.members)) for clique in self.cliques],
+            dict(self.member_index),
+        )
 
     def __len__(self) -> int:
         return len(self.cliques)

@@ -8,14 +8,22 @@ over the frozen orbitals onto the active register.  Each distinct
 expectation value (an "atom") compiles once into a Pauli-string sum, so
 the same compiled plans serve exact matrices, shot-sampled matrices with
 per-element variance estimates, and measurement-cost counting.
+
+The A, B and Σ plans are lowered once per builder and saving mode into an
+array replay layout, so each exact or sampled evaluation is a handful of
+array operations.  The layout follows the plan order: a clique is drawn
+in the axes it has at its first lookup in that order, and strings that
+join it later read the same histogram.  Those later members can need X
+or Y where the histogram measured Z; this is the known stale-basis bias,
+kept so that seeded references still hold.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,32 +353,6 @@ class _AtomRegistry:
         return not self._measured[key] and self._identity[key] == 0.0
 
 
-class _ExactMeans:
-    """Expectation evaluator backed by the exact statevector."""
-
-    def __init__(self, state):
-        self._amps = state.amplitudes
-        self._cache: dict[str, tuple[float, float]] = {}
-
-    def mean_p1(self, string: str, occurrence=None) -> tuple[float, float]:
-        hit = self._cache.get(string)
-        if hit is None:
-            mean = float(np.vdot(self._amps, pauli_action(self._amps, string)).real)
-            hit = (mean, 0.5 * (1.0 - mean))
-            self._cache[string] = hit
-        return hit
-
-
-class _SampledMeans:
-    """Expectation evaluator backed by a shot-based measurement cache."""
-
-    def __init__(self, cache: MeasurementCache):
-        self._cache = cache
-
-    def mean_p1(self, string: str, occurrence=None) -> tuple[float, float]:
-        return self._cache.mean_p1(string, occurrence)
-
-
 @dataclass
 class QLRProblem:
     """Assembled response matrices with per-element spread estimates.
@@ -434,17 +416,179 @@ class QLRSolution:
         return int(self.omega.size)
 
 
-def _chain_factors(products, values) -> dict:
-    """First-order sensitivities of the product terms to each atom value."""
-    weights: dict = {}
-    for coeff, atoms in products:
-        for atom, mult in Counter(atoms).items():
-            part = coeff * mult * values[atom] ** (mult - 1)
-            for other, m in Counter(atoms).items():
-                if other != atom:
-                    part *= values[other] ** m
-            weights[atom] = weights.get(atom, 0.0) + part
-    return weights
+def _exact_means(state):
+    """Return ``mean(string, occurrence=None)``, the exact ⟨ψ|P|ψ⟩ per string."""
+    amps = state.amplitudes
+    exact = functools.cache(lambda s: float(np.vdot(amps, pauli_action(amps, s)).real))
+    return lambda string, occurrence=None: exact(string)
+
+
+def _walsh(hists: np.ndarray) -> np.ndarray:
+    """Parity means of every z-mask: out[d, m] = Σ_x (-1)^|x & m| hists[d, x]."""
+    out = hists
+    rows, dim = hists.shape
+    half = 1
+    while half < dim:
+        pairs = out.reshape(rows, dim // (2 * half), 2, half)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        out = np.stack((low + high, low - high), axis=2).reshape(rows, dim)
+        half *= 2
+    return out
+
+
+class _ReplayLayout:
+    """The A, B and Σ plans of one saving mode, lowered to arrays.
+
+    One dry walk visits the elements (tag, i, j: the upper triangle with
+    Pauli saving, the full square without), their unit keys and each
+    unit's measured strings in string-by-string evaluation order, feeding
+    every string through one shared clique cover (id -1) with saving, or
+    else through a cover per (element, unit key) that measures a string,
+    numbered at first use.  Clique and occurrence numbers, spawn keys and
+    each reading's histogram are thus those of MeasurementCache.mean_p1.
+
+    Draw d is clique ``draw_keys[d]`` measured in ``draw_axes[d]``; reading
+    r is ``strings[r]``, read from draw ``reading_draw[r]`` on the qubits
+    ``reading_mask[r]``.  A slot is one unit key of one element: its
+    identity part plus entries (slot, reading, coefficient, pair), a pair
+    being an (element, reading) that carries variance.  Products are
+    padded with slot ``len(slot_identity)``, which reads as one; the direct
+    unit is a product with coefficient one.  ``square[i, j]`` is the
+    element of (i, j) within a tag.
+    """
+
+    def __init__(self, builder: "ResponseBuilder", saving: bool):
+        registry = builder._registry
+        n = len(builder.basis)
+        self.saving = saving
+        self.covers: dict[int, CliqueCover] = {}
+        self.occurrence_ids: dict = {}
+        self.draw_axes: list[str] = []
+        draw_rows: dict[tuple[int, int], int] = {}
+        readings: dict[tuple[int, str], int] = {}
+        reading_draw, reading_mask = [], []
+        pairs: dict[tuple[int, int], int] = {}
+        entries, slot_identity, constant, products = [], [], [], []
+
+        def read(occ_id: int, string: str) -> int:
+            if (occ_id, string) not in readings:
+                cover = self.covers.setdefault(occ_id, CliqueCover(builder.n_qubits))
+                clique = cover.register(string)
+                if (occ_id, clique) not in draw_rows:
+                    # Stale-basis rule: a clique is drawn in the axes it has
+                    # at its first lookup, and later members read that
+                    # histogram.  Drawing in the final axes would take them
+                    # from self.covers after the walk instead.
+                    draw_rows[occ_id, clique] = len(self.draw_axes)
+                    self.draw_axes.append(cover.cliques[clique].axes)
+                readings[occ_id, string] = len(reading_draw)
+                reading_draw.append(draw_rows[occ_id, clique])
+                reading_mask.append(
+                    sum(1 << q for q, axis in enumerate(string) if axis != "I")
+                )
+            return readings[occ_id, string]
+
+        for tag in _MATRIX_TAGS:
+            for i in range(n):
+                for j in range(i, n) if saving else range(n):
+                    element = len(constant)
+                    plan = builder._plan(tag, i, j)
+                    constant.append(plan.constant)
+                    slots = {}
+                    for key in plan.unit_keys():
+                        slots[key] = len(slot_identity)
+                        slot_identity.append(registry.identity_real(key))
+                        measured = registry.measured(key)
+                        if not measured:
+                            continue
+                        occ_id = -1
+                        if not saving:
+                            occ_id = self.occurrence_ids.setdefault(
+                                (tag, i, j, key), len(self.occurrence_ids)
+                            )
+                        for string, coeff in measured:
+                            reading = read(occ_id, string)
+                            pair = pairs.setdefault((element, reading), len(pairs))
+                            entries.append((slots[key], reading, coeff, pair))
+                    if plan.direct is not None:
+                        products.append((element, 1.0, (slots[plan.direct],)))
+                    for coeff, atoms in plan.products:
+                        atom_slots = tuple(slots[atom] for atom in atoms)
+                        products.append((element, coeff, atom_slots))
+        self.draw_keys = list(draw_rows)
+        self.strings = [string for _, string in readings]
+        self.reading_draw = np.array(reading_draw, dtype=int)
+        self.reading_mask = np.array(reading_mask, dtype=int)
+        self.slot_identity = np.array(slot_identity)
+        self.constant = np.array(constant)
+        table = np.array(entries, dtype=float).reshape(-1, 4)
+        self.entry_slot, self.entry_reading, self.entry_pair = (
+            table[:, [0, 1, 3]].T.astype(int)
+        )
+        self.entry_coeff = table[:, 2]
+        pair_table = np.array(list(pairs), dtype=int).reshape(-1, 2)
+        self.pair_element, self.pair_reading = pair_table.T
+        width = max((len(atoms) for _, _, atoms in products), default=1)
+        pad = (len(slot_identity),)
+        self.product_element = np.array([e for e, _, _ in products], dtype=int)
+        self.product_coeff = np.array([c for _, c, _ in products])
+        self.product_slots = np.array(
+            [atoms + pad * (width - len(atoms)) for _, _, atoms in products], dtype=int
+        ).reshape(-1, width)
+        self.square = np.arange(n * n).reshape(n, n)
+        if saving:
+            rows, cols = np.triu_indices(n)
+            self.square[rows, cols] = self.square[cols, rows] = np.arange(len(rows))
+        logger.debug(
+            "replay layout for %s, pauli_saving=%s: %d draws, %d readings, "
+            "%d units, %d elements",
+            builder.parametrization,
+            saving,
+            len(self.draw_keys),
+            len(self.strings),
+            len(slot_identity),
+            len(constant),
+        )
+
+    def matrices(self, means: np.ndarray, shots: float) -> dict:
+        """QLRProblem's a, b, sigma and their std fields from reading means.
+
+        Variances are delta-method estimates in per-shot units: every
+        measured string contributes 4·c²·p₁(1−p₁) through its effective
+        coefficient c, the chain-weighted sum of its coefficients over
+        the element's units.  With saving a string shared between units
+        is one sample; without it every occurrence is its own.
+        """
+        n_slots, n_elements = len(self.slot_identity), len(self.constant)
+        slot_terms = self.entry_coeff * means[self.entry_reading]
+        slots = self.slot_identity + np.bincount(self.entry_slot, slot_terms, n_slots)
+        factors = np.append(slots, 1.0)[self.product_slots]
+        terms = self.product_coeff * factors.prod(axis=1)
+        values = self.constant + np.bincount(self.product_element, terms, n_elements)
+        # First-order sensitivity of each product to each of its factors.
+        partials = np.empty_like(factors)
+        for col in range(factors.shape[1]):
+            others = factors.copy()
+            others[:, col] = 1.0
+            partials[:, col] = self.product_coeff * others.prod(axis=1)
+        weights = np.bincount(self.product_slots.ravel(), partials.ravel(), n_slots + 1)
+        pair_terms = weights[self.entry_slot] * self.entry_coeff
+        effective = np.bincount(self.entry_pair, pair_terms, len(self.pair_element))
+        p1 = 0.5 * (1.0 - means)
+        spread = np.maximum(p1 - p1 * p1, 0.0)[self.pair_reading]
+        var = np.bincount(self.pair_element, 4.0 * effective**2 * spread, n_elements)
+        var_nc = np.bincount(self.pair_element, 4.0 * spread, n_elements)
+        # (value, var, var_nc) x (A, B, S) element vectors, then matrices.
+        mats = np.stack([values, var, var_nc]).reshape(3, 3, -1)[..., self.square]
+        if not self.saving:
+            halves = np.array([0.5, 0.25, 0.25]).reshape(3, 1, 1, 1)
+            mats[:, :2] = halves * (mats[:, :2] + mats[:, :2].swapaxes(-1, -2))
+        value, std, std_nc = mats[0], np.sqrt(mats[1] / shots), np.sqrt(mats[2] / shots)
+        return {
+            f"{name}{suffix}": part[t]
+            for t, name in enumerate(("a", "b", "sigma"))
+            for suffix, part in (("", value), ("_std", std), ("_std_nc", std_nc))
+        }
 
 
 class ResponseBuilder:
@@ -472,6 +616,7 @@ class ResponseBuilder:
         self._registry = _AtomRegistry(polys, self.space, self.mapping)
         self._plans: dict[tuple, ElementPlan] = {}
         self._dipole_axes: list[str] | None = None
+        self._layouts: dict[bool, _ReplayLayout] = {}
         n = len(self.basis)
         for tag in _MATRIX_TAGS:
             for i in range(n):
@@ -551,23 +696,17 @@ class ResponseBuilder:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _element(self, plan, evaluator, occ_base, dedup: bool):
-        """Evaluate one element: value, variance, coefficient-free variance.
-
-        Variances are delta-method estimates in per-shot units: every
-        measured string contributes through its total effective
-        coefficient, strings shared between measurement units are
-        accumulated together when dedup is set (shot reuse), separately
-        otherwise (independent sampling).
-        """
+    def _element(self, plan: ElementPlan, mean, occ_base: tuple) -> float:
+        """Value of one element, reading every measured string through
+        ``mean(string, occurrence)``; used for Δ and the transition
+        moments, which carry no spread estimate."""
         registry = self._registry
         values: dict[tuple, float] = {}
         for key in plan.unit_keys():
             occurrence = occ_base + (key,)
             value = registry.identity_real(key)
             for string, coeff in registry.measured(key):
-                mean, _ = evaluator.mean_p1(string, occurrence)
-                value += coeff * mean
+                value += coeff * mean(string, occurrence)
             values[key] = value
         total = plan.constant
         if plan.direct is not None:
@@ -577,47 +716,23 @@ class ResponseBuilder:
             for atom in atoms:
                 term *= values[atom]
             total += term
-        weights = _chain_factors(plan.products, values)
-        if plan.direct is not None:
-            weights[plan.direct] = 1.0
-        effective: dict = {}
-        spreads: dict = {}
-        for key in plan.unit_keys():
-            weight = weights.get(key, 0.0)
-            occurrence = occ_base + (key,)
-            for string, coeff in registry.measured(key):
-                _, p1 = evaluator.mean_p1(string, occurrence)
-                sample = string if dedup else (key, string)
-                effective[sample] = effective.get(sample, 0.0) + weight * coeff
-                spreads[sample] = max(p1 - p1 * p1, 0.0)
-        var = sum(4.0 * c * c * spreads[k] for k, c in effective.items())
-        var_nc = sum(4.0 * s for s in spreads.values())
-        return total, var, var_nc
+        return total
 
-    def _matrices(self, evaluator, triangle: bool, dedup: bool, shots: float):
-        n = len(self.basis)
-        out = {}
-        for tag in _MATRIX_TAGS:
-            value = np.zeros((n, n))
-            var = np.zeros((n, n))
-            var_nc = np.zeros((n, n))
-            for i in range(n):
-                columns = range(i, n) if triangle else range(n)
-                for j in columns:
-                    v, s, s_nc = self._element(
-                        self._plan(tag, i, j), evaluator, (tag, i, j), dedup
-                    )
-                    value[i, j], var[i, j], var_nc[i, j] = v, s, s_nc
-                    if triangle and j > i:
-                        value[j, i], var[j, i], var_nc[j, i] = v, s, s_nc
-            if not triangle and tag in ("A", "B"):
-                value = 0.5 * (value + value.T)
-                var = 0.25 * (var + var.T)
-                var_nc = 0.25 * (var_nc + var_nc.T)
-            out[tag] = (value, np.sqrt(var / shots), np.sqrt(var_nc / shots))
-        return out
+    def _replay_layout(self, saving: bool) -> _ReplayLayout:
+        layout = self._layouts.get(saving)
+        if layout is None:
+            layout = self._layouts[saving] = _ReplayLayout(self, saving)
+        return layout
 
-    def _delta_matrix(self, evaluator) -> np.ndarray:
+    def _problem(self, **fields) -> QLRProblem:
+        return QLRProblem(
+            parametrization=self.parametrization,
+            labels=list(self.labels),
+            n_qubits=self.n_qubits,
+            **fields,
+        )
+
+    def _delta_matrix(self, mean) -> np.ndarray:
         n = len(self.basis)
         delta = np.zeros((n, n))
         for i in range(n):
@@ -627,38 +742,22 @@ class ResponseBuilder:
                 if plan is None:
                     plan = self._compile_element("D", i, j)
                     self._plans[key] = plan
-                value, _, _ = self._element(plan, evaluator, key, True)
+                value = self._element(plan, mean, key)
                 delta[i, j] = value
                 delta[j, i] = -value
         return delta
 
     def evaluate_exact(self, with_delta: bool = True) -> QLRProblem:
         """Assemble all matrices from exact expectation values."""
-        evaluator = _ExactMeans(self.ground.state)
-        mats = self._matrices(evaluator, triangle=True, dedup=True, shots=1.0)
-        delta = self._delta_matrix(evaluator) if with_delta else None
-        (a, a_std, a_nc), (b, b_std, b_nc), (s, s_std, s_nc) = (
-            mats["A"],
-            mats["B"],
-            mats["S"],
-        )
-        return QLRProblem(
-            parametrization=self.parametrization,
-            labels=list(self.labels),
-            a=a,
-            b=b,
-            sigma=s,
-            a_std=a_std,
-            b_std=b_std,
-            sigma_std=s_std,
-            a_std_nc=a_nc,
-            b_std_nc=b_nc,
-            sigma_std_nc=s_nc,
-            delta=delta,
+        mean = _exact_means(self.ground.state)
+        layout = self._replay_layout(True)
+        means = np.array([mean(string) for string in layout.strings])
+        return self._problem(
+            **layout.matrices(means, 1.0),
+            delta=self._delta_matrix(mean) if with_delta else None,
             mode="exact",
             shots=None,
             pauli_saving=None,
-            n_qubits=self.n_qubits,
         )
 
     def evaluate_sampled(
@@ -678,7 +777,8 @@ class ResponseBuilder:
         without it every element occurrence is sampled independently and
         the quadratic blocks are symmetrized afterwards.  Passing a cache
         lets later property evaluations reuse the same histograms; it
-        overrides the shot and seed arguments.
+        overrides the shot and seed arguments, and it must be bound to
+        this builder's state and hold no registered strings yet.
         """
         if cache is None:
             if shots <= 0:
@@ -692,37 +792,22 @@ class ResponseBuilder:
                 mitigator=mitigator,
                 pauli_saving=pauli_saving,
             )
-        shots = cache.shots
-        pauli_saving = cache.pauli_saving
-        evaluator = _SampledMeans(cache)
-        mats = self._matrices(
-            evaluator,
-            triangle=pauli_saving,
-            dedup=pauli_saving,
-            shots=float(shots),
-        )
-        (a, a_std, a_nc), (b, b_std, b_nc), (s, s_std, s_nc) = (
-            mats["A"],
-            mats["B"],
-            mats["S"],
-        )
-        return QLRProblem(
-            parametrization=self.parametrization,
-            labels=list(self.labels),
-            a=a,
-            b=b,
-            sigma=s,
-            a_std=a_std,
-            b_std=b_std,
-            sigma_std=s_std,
-            a_std_nc=a_nc,
-            b_std_nc=b_nc,
-            sigma_std_nc=s_nc,
+        elif cache.fingerprint != self.ground.state.fingerprint():
+            raise ValueError("cache is bound to a different state")
+        elif cache.registered:
+            raise ValueError("cache already holds registered strings; pass a fresh one")
+        layout = self._replay_layout(cache.pauli_saving)
+        draws = zip(layout.draw_keys, layout.draw_axes)
+        hists = np.array([cache.draw(*key, axes) for key, axes in draws])
+        hists = hists.reshape(len(layout.draw_keys), 1 << self.n_qubits)
+        cache.replay(layout.covers, layout.occurrence_ids, layout.draw_keys, hists)
+        means = _walsh(hists)[layout.reading_draw, layout.reading_mask]
+        return self._problem(
+            **layout.matrices(means, float(cache.shots)),
             delta=None,
             mode="sampled",
-            shots=shots,
-            pauli_saving=pauli_saving,
-            n_qubits=self.n_qubits,
+            shots=cache.shots,
+            pauli_saving=cache.pauli_saving,
             cliques_sampled=cache.cliques_sampled,
         )
 
@@ -800,23 +885,18 @@ class ResponseBuilder:
         """Return per-axis moment rows (V, W) over the operator basis."""
         axes = self._dipole_plans()
         if cache is None:
-            evaluator = _ExactMeans(self.ground.state)
-            dedup = True
+            mean = _exact_means(self.ground.state)
         else:
-            evaluator = _SampledMeans(cache)
-            dedup = cache.pauli_saving
+            mean = lambda string, occurrence: cache.mean_p1(string, occurrence)[0]
         n = len(self.basis)
         v = np.zeros((3, n))
         w = np.zeros((3, n))
         for axis in axes:
             row = _AXES.index(axis)
             for l in range(n):
-                v[row, l] = self._element(
-                    self._plans[("V", axis, l)], evaluator, ("V", axis, l), dedup
-                )[0]
-                w[row, l] = self._element(
-                    self._plans[("W", axis, l)], evaluator, ("W", axis, l), dedup
-                )[0]
+                for tag, moments in (("V", v), ("W", w)):
+                    key = (tag, axis, l)
+                    moments[row, l] = self._element(self._plans[key], mean, key)
         return v, w
 
     def oscillator_strengths(

@@ -337,6 +337,17 @@ class NoiseModel:
         return out
 
 
+def _outcome_probabilities(
+    state: Statevector, axes: str, noise: NoiseModel | None
+) -> np.ndarray:
+    """Normalized distribution of the (noisy) readout in the given axes."""
+    probs = state.rotated_probabilities(axes)
+    if noise is not None:
+        probs = noise.apply(probs)
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
 def sample_clique(
     state: Statevector,
     clique: Clique | str,
@@ -346,12 +357,7 @@ def sample_clique(
 ) -> np.ndarray:
     """Sample one clique measurement; returns outcome counts over bitstrings."""
     axes = clique.axes if isinstance(clique, Clique) else clique
-    probs = state.rotated_probabilities(axes)
-    if noise is not None:
-        probs = noise.apply(probs)
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    return rng.multinomial(shots, probs)
+    return rng.multinomial(shots, _outcome_probabilities(state, axes, noise))
 
 
 class MeasurementCache:
@@ -362,6 +368,11 @@ class MeasurementCache:
     state, so each string keeps the same sampled distribution wherever it
     appears. Without it, every occurrence key owns a private cover whose
     cliques are sampled independently.
+
+    Draw rule: a clique is drawn in the axes it has at its first lookup,
+    and strings it absorbs later read that same histogram. A later member
+    that widens an I qubit to X or Y is therefore read in a stale basis.
+    This is a known bias, kept so that seeded references still hold.
     """
 
     def __init__(
@@ -388,6 +399,7 @@ class MeasurementCache:
         self._occurrence_ids: dict = {}
         self._samples: dict[tuple[int, int], np.ndarray] = {}
         self._stats: dict[tuple[int, int, str], tuple[float, float]] = {}
+        self._probs: dict[str, np.ndarray] = {}
         self.cliques_sampled = 0
 
     def _occurrence(self, occurrence) -> int:
@@ -410,27 +422,47 @@ class MeasurementCache:
         for string in strings:
             cover.register(string)
 
-    def registered_cliques(self, occurrence=None) -> int:
-        return len(self._cover(self._occurrence(occurrence)))
+    @property
+    def registered(self) -> int:
+        """How many strings the clique covers hold, over all occurrences."""
+        return sum(len(cover.member_index) for cover in self._covers.values())
+
+    def draw(self, occ_id: int, clique_idx: int, axes: str) -> np.ndarray:
+        """Mitigated quasi-probabilities of one clique histogram.
+
+        The spawn key is ``(run_id, clique)`` with Pauli saving and
+        ``(run_id, occurrence, clique)`` without; readout noise acts
+        before the draw and the mitigator after it.
+        """
+        spawn = (clique_idx,) if self.pauli_saving else (occ_id, clique_idx)
+        seed = np.random.SeedSequence(self.master_seed, spawn_key=(self.run_id, *spawn))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        probs = self._probs.get(axes)
+        if probs is None:
+            probs = _outcome_probabilities(self.state, axes, self.noise)
+            self._probs[axes] = probs
+        vec = rng.multinomial(self.shots, probs) / self.shots
+        if self.mitigator is not None:
+            vec = self.mitigator.apply(vec)
+        return vec
+
+    def replay(self, covers: dict, occurrence_ids: dict, keys: list, hists) -> None:
+        """Adopt the covers, occurrence numbering and histograms (row r
+        drawn for ``keys[r] = (occurrence id, clique)``) of a lookup
+        sequence replayed in bulk; later lookups continue as if it had
+        been looked up string by string.  Nothing passed in is mutated."""
+        self._covers = {occ: cover.copy() for occ, cover in covers.items()}
+        self._occurrence_ids = dict(occurrence_ids)
+        self._samples = dict(zip(keys, hists))
+        self._stats = {}
+        self.cliques_sampled = len(keys)
 
     def _quasi_probabilities(self, occ_id: int, clique_idx: int) -> np.ndarray:
         key = (occ_id, clique_idx)
         vec = self._samples.get(key)
         if vec is None:
-            clique = self._covers[occ_id].cliques[clique_idx]
-            if self.pauli_saving:
-                spawn = (self.run_id, clique_idx)
-            else:
-                spawn = (self.run_id, occ_id, clique_idx)
-            rng = np.random.Generator(
-                np.random.PCG64(
-                    np.random.SeedSequence(entropy=self.master_seed, spawn_key=spawn)
-                )
-            )
-            counts = sample_clique(self.state, clique, self.shots, self.noise, rng)
-            vec = counts / self.shots
-            if self.mitigator is not None:
-                vec = self.mitigator.apply(vec)
+            axes = self._covers[occ_id].cliques[clique_idx].axes
+            vec = self.draw(occ_id, clique_idx, axes)
             self._samples[key] = vec
             self.cliques_sampled += 1
         return vec
@@ -573,13 +605,6 @@ class CompiledActiveMap:
         inputs = self._inputs(system)
         shift = system.e_core + float(self._shift_weights @ inputs)
         return shift, self._coeff_map @ inputs
-
-    def pauli_sum(self, system: MolecularSystem) -> tuple[float, PauliSum]:
-        shift, coeffs = self.values(system)
-        ps = PauliSum(self.n_qubits)
-        for string, coeff in zip(self.strings, coeffs):
-            ps.add_term(string, coeff)
-        return shift, ps
 
     def expectations(self, state: Statevector) -> np.ndarray:
         """⟨P_s⟩ for every compiled string (identity included)."""

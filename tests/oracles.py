@@ -13,6 +13,7 @@ Conventions (shared with the package, by definition not by code):
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -299,3 +300,135 @@ def casci_energies(
     dets = cas_dets(h.shape[0], inactive, active, n_active_elec)
     mat = sector_hamiltonian(h, g, e_core, dets)
     return np.linalg.eigvalsh(mat)
+
+
+# ---------------------------------------------------------------------------
+# String-by-string response evaluator
+#
+# The evaluator that ResponseBuilder used before it replayed an array
+# layout, kept as the reference for the differential tests.  It walks every
+# plan element by element and asks the evaluator for one Pauli string at a
+# time, so a sampled run draws each clique at the lookup that creates it.
+# Exact means come from dense Pauli matrices here; everything else is the
+# old code with the builder passed in.
+
+
+class ExactMeans:
+    """Expectation evaluator backed by the exact statevector."""
+
+    def __init__(self, state):
+        self._amps = state.amplitudes
+        self._cache: dict[str, tuple[float, float]] = {}
+
+    def mean_p1(self, string: str, occurrence=None) -> tuple[float, float]:
+        hit = self._cache.get(string)
+        if hit is None:
+            dense = dense_pauli_string(string)
+            mean = float(np.vdot(self._amps, dense @ self._amps).real)
+            hit = (mean, 0.5 * (1.0 - mean))
+            self._cache[string] = hit
+        return hit
+
+
+def chain_factors(products, values) -> dict:
+    """First-order sensitivities of the product terms to each atom value."""
+    weights: dict = {}
+    for coeff, atoms in products:
+        for atom, mult in Counter(atoms).items():
+            part = coeff * mult * values[atom] ** (mult - 1)
+            for other, m in Counter(atoms).items():
+                if other != atom:
+                    part *= values[other] ** m
+            weights[atom] = weights.get(atom, 0.0) + part
+    return weights
+
+
+def reference_element(builder, plan, evaluator, occ_base, dedup: bool):
+    """Evaluate one element: value, variance, coefficient-free variance."""
+    registry = builder._registry
+    values: dict[tuple, float] = {}
+    for key in plan.unit_keys():
+        occurrence = occ_base + (key,)
+        value = registry.identity_real(key)
+        for string, coeff in registry.measured(key):
+            mean, _ = evaluator.mean_p1(string, occurrence)
+            value += coeff * mean
+        values[key] = value
+    total = plan.constant
+    if plan.direct is not None:
+        total += values[plan.direct]
+    for coeff, atoms in plan.products:
+        term = coeff
+        for atom in atoms:
+            term *= values[atom]
+        total += term
+    weights = chain_factors(plan.products, values)
+    if plan.direct is not None:
+        weights[plan.direct] = 1.0
+    effective: dict = {}
+    spreads: dict = {}
+    for key in plan.unit_keys():
+        weight = weights.get(key, 0.0)
+        occurrence = occ_base + (key,)
+        for string, coeff in registry.measured(key):
+            _, p1 = evaluator.mean_p1(string, occurrence)
+            sample = string if dedup else (key, string)
+            effective[sample] = effective.get(sample, 0.0) + weight * coeff
+            spreads[sample] = max(p1 - p1 * p1, 0.0)
+    var = sum(4.0 * c * c * spreads[k] for k, c in effective.items())
+    var_nc = sum(4.0 * s for s in spreads.values())
+    return total, var, var_nc
+
+
+def reference_matrices(builder, evaluator, triangle: bool, dedup: bool, shots: float):
+    """Per tag A, B, S: (value, std, coefficient-free std)."""
+    n = len(builder.basis)
+    out = {}
+    for tag in ("A", "B", "S"):
+        value = np.zeros((n, n))
+        var = np.zeros((n, n))
+        var_nc = np.zeros((n, n))
+        for i in range(n):
+            columns = range(i, n) if triangle else range(n)
+            for j in columns:
+                v, s, s_nc = reference_element(
+                    builder, builder._plan(tag, i, j), evaluator, (tag, i, j), dedup
+                )
+                value[i, j], var[i, j], var_nc[i, j] = v, s, s_nc
+                if triangle and j > i:
+                    value[j, i], var[j, i], var_nc[j, i] = v, s, s_nc
+        if not triangle and tag in ("A", "B"):
+            value = 0.5 * (value + value.T)
+            var = 0.25 * (var + var.T)
+            var_nc = 0.25 * (var_nc + var_nc.T)
+        out[tag] = (value, np.sqrt(var / shots), np.sqrt(var_nc / shots))
+    return out
+
+
+def reference_delta(builder, evaluator) -> np.ndarray:
+    n = len(builder.basis)
+    delta = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            key = ("D", i, j)
+            plan = builder._plans.get(key)
+            if plan is None:
+                plan = builder._compile_element("D", i, j)
+                builder._plans[key] = plan
+            value, _, _ = reference_element(builder, plan, evaluator, key, True)
+            delta[i, j] = value
+            delta[j, i] = -value
+    return delta
+
+
+def reference_sampled(builder, cache) -> dict:
+    """Sampled A, B, S through a fresh cache's string-by-string lookups."""
+    saving = cache.pauli_saving
+    return reference_matrices(builder, cache, saving, saving, float(cache.shots))
+
+
+def reference_exact(builder) -> tuple[dict, np.ndarray]:
+    """Exact A, B, S (per-shot spreads) and Δ."""
+    evaluator = ExactMeans(builder.ground.state)
+    mats = reference_matrices(builder, evaluator, True, True, 1.0)
+    return mats, reference_delta(builder, evaluator)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,31 @@ def test_rerun_from_artifact_config_is_byte_identical(workdir, tmp_path):
     before = path.read_bytes()
     second = run_cli("qlr", "--config", path)
     assert first == second
+    assert path.read_bytes() == before
+
+
+def test_retired_threads_key_is_ignored(workdir, tmp_path, caplog):
+    ini = tmp_path / "old.ini"
+    ini.write_text(
+        "[qlrlab]\n"
+        "mode = sampled\n"
+        "shots = 200\n"
+        "threads = 4\n"
+        f"ground = {workdir / 'ground-state.json'}\n"
+        f"out = {tmp_path}\n"
+    )
+    with caplog.at_level(logging.WARNING, logger="qlrlab.cli"):
+        assert run_cli("qlr", "--config", ini) in (0, 4)
+    assert any("threads" in r.getMessage() for r in caplog.records)
+    path = tmp_path / "qlr-naive-sampled-ps_on.json"
+    before = path.read_bytes()
+    payload = json.loads(before)
+    assert "threads" not in payload["config"]
+    # An artifact written while the key existed still reruns byte for byte.
+    payload["config"]["threads"] = 0
+    old = tmp_path / "old-artifact.json"
+    old.write_text(json.dumps(payload))
+    assert run_cli("qlr", "--config", old) in (0, 4)
     assert path.read_bytes() == before
 
 

@@ -184,16 +184,10 @@ def test_campaign_exact_surrogate(h2_builder):
 
 
 def test_campaign_is_deterministic(h2_builder):
-    first = run_campaign(h2_builder, runs=6, shots=500, master_seed=3, threads=2)
-    second = run_campaign(h2_builder, runs=6, shots=500, master_seed=3, threads=2)
+    first = run_campaign(h2_builder, runs=6, shots=500, master_seed=3)
+    second = run_campaign(h2_builder, runs=6, shots=500, master_seed=3)
     assert np.array_equal(first.omegas, second.omegas)
     assert first.sigma_k == pytest.approx(second.sigma_k, abs=0.0)
-
-
-def test_campaign_thread_count_independence(h2_builder):
-    serial = run_campaign(h2_builder, runs=6, shots=500, master_seed=3, threads=1)
-    parallel = run_campaign(h2_builder, runs=6, shots=500, master_seed=3, threads=3)
-    assert np.array_equal(serial.omegas, parallel.omegas)
 
 
 def test_campaign_spread_shrinks_with_shots(h2_builder):

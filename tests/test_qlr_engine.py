@@ -20,8 +20,15 @@ from qlrlab.qlr_engine import (
     solve,
     spectrum,
 )
-from qlrlab.sim_engine import oo_vqe
-from oracles import dense_fermion, fci, singlet_energies
+from qlrlab.mitigation import build_confusion
+from qlrlab.sim_engine import NoiseModel, Statevector, oo_vqe
+from oracles import (
+    dense_fermion,
+    fci,
+    reference_exact,
+    reference_sampled,
+    singlet_energies,
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +44,15 @@ def h2_problems(h2_builders):
 
 
 @pytest.fixture(scope="module")
-def h6_builder(h6_ground):
-    return ResponseBuilder(h6_ground, "naive")
+def h6_builders(h6_ground):
+    return {
+        par: ResponseBuilder(h6_ground, par) for par in PARAMETRIZATIONS
+    }
+
+
+@pytest.fixture(scope="module")
+def h6_builder(h6_builders):
+    return h6_builders["naive"]
 
 
 @pytest.fixture(scope="module")
@@ -488,3 +502,94 @@ def test_build_matrices_dispatch(h2_ground, h2_builders):
         build_matrices(h2_ground, "naive", mode="sampled", builder=h2_builders["naive"])
     with pytest.raises(ValueError, match="unknown mode"):
         build_matrices(h2_ground, "naive", mode="fuzzy", builder=h2_builders["naive"])
+
+
+def test_sampled_rejects_cache_of_another_state(h2_ground, h2_builders):
+    other = Statevector(h2_ground.state.n_qubits, h2_ground.state.amplitudes[::-1])
+    cache = MeasurementCache(other, shots=100)
+    with pytest.raises(ValueError, match="different state"):
+        h2_builders["naive"].evaluate_sampled(0, cache=cache)
+
+
+def test_sampled_rejects_cache_with_registered_strings(h2_ground, h2_builders):
+    cache = MeasurementCache(h2_ground.state, shots=100)
+    cache.register(["ZIII"])
+    with pytest.raises(ValueError, match="registered strings"):
+        h2_builders["naive"].evaluate_sampled(0, cache=cache)
+
+
+def test_replay_layout_is_logged_once(h2_ground, caplog):
+    builder = ResponseBuilder(h2_ground, "proj")
+    with caplog.at_level(logging.DEBUG, logger="qlrlab.qlr_engine"):
+        problem = builder.evaluate_sampled(100, run_id=0)
+        builder.evaluate_sampled(100, run_id=1)
+    records = [r.getMessage() for r in caplog.records]
+    records = [message for message in records if "replay layout" in message]
+    assert len(records) == 1
+    assert "pauli_saving=True" in records[0]
+    assert f"{problem.cliques_sampled} draws" in records[0]
+    assert f"{3 * 3} elements" in records[0]  # three tags, upper triangle of 2 x 2
+    assert "readings" in records[0] and "units" in records[0]
+
+
+# -- replay layout against the string-by-string reference ---------------------------
+#
+# tests/oracles.py keeps the evaluator that walked every plan string by
+# string.  The replay layout must reproduce it: the same draws (equal
+# cliques_sampled, matrices within 1e-12) and a cache that later lookups
+# (the transition moments) see exactly as the reference left it.
+
+REPLAY_TOL = 1e-12
+
+
+def _assert_mats_close(mats, problem):
+    for tag, (value, std, std_nc) in mats.items():
+        got = {
+            "A": (problem.a, problem.a_std, problem.a_std_nc),
+            "B": (problem.b, problem.b_std, problem.b_std_nc),
+            "S": (problem.sigma, problem.sigma_std, problem.sigma_std_nc),
+        }[tag]
+        for want, have in zip((value, std, std_nc), got):
+            np.testing.assert_allclose(have, want, rtol=0.0, atol=REPLAY_TOL)
+
+
+@pytest.mark.parametrize("system", ["h2", "h6"])
+@pytest.mark.parametrize("par", PARAMETRIZATIONS)
+def test_replay_matches_string_by_string_reference(
+    system, par, h2_builders, h6_builders
+):
+    builder = (h2_builders if system == "h2" else h6_builders)[par]
+    state = builder.ground.state
+    noise = NoiseModel.uniform(state.n_qubits, readout=0.02)
+    readout = build_confusion(state.n_qubits, "readout", noise=noise)
+    for saving in (True, False):
+        for noisy in (False, True):
+            for run_id in (0, 1, 7):
+                kwargs = dict(
+                    shots=1000,
+                    master_seed=3,
+                    run_id=run_id,
+                    pauli_saving=saving,
+                    noise=noise if noisy else None,
+                    mitigator=readout if noisy else None,
+                )
+                cache = MeasurementCache(state, **kwargs)
+                problem = builder.evaluate_sampled(0, cache=cache)
+                reference_cache = MeasurementCache(state, **kwargs)
+                _assert_mats_close(reference_sampled(builder, reference_cache), problem)
+                assert problem.cliques_sampled == reference_cache.cliques_sampled
+                solution = solve(problem)
+                f = builder.oscillator_strengths(solution, cache)
+                f_reference = builder.oscillator_strengths(solution, reference_cache)
+                np.testing.assert_allclose(f, f_reference, rtol=0.0, atol=REPLAY_TOL)
+                assert cache.cliques_sampled == reference_cache.cliques_sampled
+
+
+@pytest.mark.parametrize("system", ["h2", "h6"])
+@pytest.mark.parametrize("par", PARAMETRIZATIONS)
+def test_exact_replay_matches_reference(system, par, h2_builders, h6_builders):
+    builder = (h2_builders if system == "h2" else h6_builders)[par]
+    mats, delta = reference_exact(builder)
+    problem = builder.evaluate_exact()
+    _assert_mats_close(mats, problem)
+    np.testing.assert_allclose(problem.delta, delta, rtol=0.0, atol=REPLAY_TOL)

@@ -238,13 +238,6 @@ class CliqueCover:
         self.member_index[string] = idx
         return idx
 
-    def copy(self) -> "CliqueCover":
-        return CliqueCover(
-            self.n_qubits,
-            [Clique(clique.axes, list(clique.members)) for clique in self.cliques],
-            dict(self.member_index),
-        )
-
     def __len__(self) -> int:
         return len(self.cliques)
 

@@ -9,18 +9,17 @@ expectation value (an "atom") compiles once into a Pauli-string sum, so
 the same compiled plans serve exact matrices, shot-sampled matrices with
 per-element variance estimates, and measurement-cost counting.
 
-The A, B and Σ plans are lowered once per builder and saving mode into an
-array replay layout, so each exact or sampled evaluation is a handful of
-array operations.  The layout follows the plan order: a clique is drawn
-in the axes it has at its first lookup in that order, and strings that
-join it later read the same histogram.  Those later members can need X
-or Y where the histogram measured Z; this is the known stale-basis bias,
-kept so that seeded references still hold.
+Every evaluation reads its expectation values through a replay layout:
+an ordered list of plans lowered once per builder into arrays, so each
+exact or sampled evaluation is a handful of array operations.  A layout
+takes its histograms from a walk, the one place that decides which clique
+histogram each measured string reads (see _Walk).  The A, B and Σ layout
+of a saving mode is followed on the same walk by the transition moments,
+so one set of clique histograms serves the matrices and the spectrum.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -42,7 +41,6 @@ from .pauli_core import (
     FermionPolynomial,
     PauliSum,
     build_spin_adapted_ops,
-    cover_first_fit,
     e_pq,
     map_to_paulis,
 )
@@ -50,6 +48,7 @@ from .sim_engine import (
     REAL_COEFF_TOL,
     MeasurementCache,
     OOVQEResult,
+    parity_means,
     pauli_action,
 )
 
@@ -416,109 +415,100 @@ class QLRSolution:
         return int(self.omega.size)
 
 
-def _exact_means(state):
-    """Return ``mean(string, occurrence=None)``, the exact ⟨ψ|P|ψ⟩ per string."""
-    amps = state.amplitudes
-    exact = functools.cache(lambda s: float(np.vdot(amps, pauli_action(amps, s)).real))
-    return lambda string, occurrence=None: exact(string)
+class _Walk:
+    """Which clique histogram each measured string reads, in lookup order.
 
-
-def _walsh(hists: np.ndarray) -> np.ndarray:
-    """Parity means of every z-mask: out[d, m] = Σ_x (-1)^|x & m| hists[d, x]."""
-    out = hists
-    rows, dim = hists.shape
-    half = 1
-    while half < dim:
-        pairs = out.reshape(rows, dim // (2 * half), 2, half)
-        low, high = pairs[:, :, 0], pairs[:, :, 1]
-        out = np.stack((low + high, low - high), axis=2).reshape(rows, dim)
-        half *= 2
-    return out
-
-
-class _ReplayLayout:
-    """The A, B and Σ plans of one saving mode, lowered to arrays.
-
-    One dry walk visits the elements (tag, i, j: the upper triangle with
-    Pauli saving, the full square without), their unit keys and each
-    unit's measured strings in string-by-string evaluation order, feeding
-    every string through one shared clique cover (id -1) with saving, or
-    else through a cover per (element, unit key) that measures a string,
-    numbered at first use.  Clique and occurrence numbers, spawn keys and
-    each reading's histogram are thus those of MeasurementCache.mean_p1.
-
-    Draw d is clique ``draw_keys[d]`` measured in ``draw_axes[d]``; reading
-    r is ``strings[r]``, read from draw ``reading_draw[r]`` on the qubits
-    ``reading_mask[r]``.  A slot is one unit key of one element: its
-    identity part plus entries (slot, reading, coefficient, pair), a pair
-    being an (element, reading) that carries variance.  Products are
-    padded with slot ``len(slot_identity)``, which reads as one; the direct
-    unit is a product with coefficient one.  ``square[i, j]`` is the
-    element of (i, j) within a tag.
+    Lookups are (occurrence key, string) pairs.  With Pauli saving every
+    string joins one shared first-fit clique cover (id -1); without it
+    every occurrence key owns a cover, numbered at the occurrence's first
+    string.  Draw d is clique ``draw_keys[d] = (cover id, clique)`` measured
+    in ``draw_axes[d]``; reading r is ``strings[r]``, read from draw
+    ``reading_draw[r]`` on the qubits ``reading_mask[r]``.  Lookups only
+    ever append, so a later layout can continue an earlier one's walk.
     """
 
-    def __init__(self, builder: "ResponseBuilder", saving: bool):
-        registry = builder._registry
-        n = len(builder.basis)
+    def __init__(self, n_qubits: int, saving: bool):
+        self.n_qubits = n_qubits
         self.saving = saving
         self.covers: dict[int, CliqueCover] = {}
         self.occurrence_ids: dict = {}
+        self.draws: dict[tuple[int, int], int] = {}
         self.draw_axes: list[str] = []
-        draw_rows: dict[tuple[int, int], int] = {}
-        readings: dict[tuple[int, str], int] = {}
-        reading_draw, reading_mask = [], []
+        self.readings: dict[tuple[int, str], int] = {}
+        self.reading_draw: list[int] = []
+        self.reading_mask: list[int] = []
+
+    def read(self, occurrence: tuple, string: str) -> int:
+        """The reading of one string looked up under an occurrence key."""
+        if self.saving:
+            occ_id = -1
+        else:
+            occ_id = self.occurrence_ids.setdefault(occurrence, len(self.occurrence_ids))
+        reading = self.readings.get((occ_id, string))
+        if reading is None:
+            cover = self.covers.setdefault(occ_id, CliqueCover(self.n_qubits))
+            clique = cover.register(string)
+            if (occ_id, clique) not in self.draws:
+                # Stale-basis rule: a clique is drawn in the axes it has at
+                # its first lookup, and strings it absorbs later read that
+                # histogram, even where they widen an I qubit to X or Y.
+                # This is a known bias, kept so that seeded references hold.
+                self.draws[occ_id, clique] = len(self.draw_axes)
+                self.draw_axes.append(cover.cliques[clique].axes)
+            reading = self.readings[occ_id, string] = len(self.reading_draw)
+            self.reading_draw.append(self.draws[occ_id, clique])
+            self.reading_mask.append(
+                sum(1 << q for q, axis in enumerate(string) if axis != "I")
+            )
+        return reading
+
+
+class _ReplayLayout:
+    """An ordered list of (occurrence base, plan) elements, lowered to arrays.
+
+    Every measured string of unit ``key`` of an element is looked up on
+    the walk under the occurrence key ``base + (key,)``.  The layout keeps
+    the walk's draws and readings as they stand after its last lookup, so
+    its ``draw_keys`` start with those of the layouts lowered earlier on
+    the same walk.  A slot is one unit key of one element: its identity
+    part plus entries (slot, reading, coefficient, pair), a pair being an
+    (element, reading) that carries variance.  Products are padded with
+    slot ``len(slot_identity)``, which reads as one; the direct unit is a
+    product with coefficient one.  ``square[i, j]``, given for A, B and Σ
+    layouts only, is the element of (i, j) within a tag.
+    """
+
+    def __init__(
+        self,
+        registry: _AtomRegistry,
+        walk: _Walk,
+        elements: list[tuple[tuple, ElementPlan]],
+        square: np.ndarray | None = None,
+    ):
+        self.walk = walk
+        self.saving = walk.saving
+        self.square = square
         pairs: dict[tuple[int, int], int] = {}
         entries, slot_identity, constant, products = [], [], [], []
-
-        def read(occ_id: int, string: str) -> int:
-            if (occ_id, string) not in readings:
-                cover = self.covers.setdefault(occ_id, CliqueCover(builder.n_qubits))
-                clique = cover.register(string)
-                if (occ_id, clique) not in draw_rows:
-                    # Stale-basis rule: a clique is drawn in the axes it has
-                    # at its first lookup, and later members read that
-                    # histogram.  Drawing in the final axes would take them
-                    # from self.covers after the walk instead.
-                    draw_rows[occ_id, clique] = len(self.draw_axes)
-                    self.draw_axes.append(cover.cliques[clique].axes)
-                readings[occ_id, string] = len(reading_draw)
-                reading_draw.append(draw_rows[occ_id, clique])
-                reading_mask.append(
-                    sum(1 << q for q, axis in enumerate(string) if axis != "I")
-                )
-            return readings[occ_id, string]
-
-        for tag in _MATRIX_TAGS:
-            for i in range(n):
-                for j in range(i, n) if saving else range(n):
-                    element = len(constant)
-                    plan = builder._plan(tag, i, j)
-                    constant.append(plan.constant)
-                    slots = {}
-                    for key in plan.unit_keys():
-                        slots[key] = len(slot_identity)
-                        slot_identity.append(registry.identity_real(key))
-                        measured = registry.measured(key)
-                        if not measured:
-                            continue
-                        occ_id = -1
-                        if not saving:
-                            occ_id = self.occurrence_ids.setdefault(
-                                (tag, i, j, key), len(self.occurrence_ids)
-                            )
-                        for string, coeff in measured:
-                            reading = read(occ_id, string)
-                            pair = pairs.setdefault((element, reading), len(pairs))
-                            entries.append((slots[key], reading, coeff, pair))
-                    if plan.direct is not None:
-                        products.append((element, 1.0, (slots[plan.direct],)))
-                    for coeff, atoms in plan.products:
-                        atom_slots = tuple(slots[atom] for atom in atoms)
-                        products.append((element, coeff, atom_slots))
-        self.draw_keys = list(draw_rows)
-        self.strings = [string for _, string in readings]
-        self.reading_draw = np.array(reading_draw, dtype=int)
-        self.reading_mask = np.array(reading_mask, dtype=int)
+        for element, (base, plan) in enumerate(elements):
+            constant.append(plan.constant)
+            slots = {}
+            for key in plan.unit_keys():
+                slots[key] = len(slot_identity)
+                slot_identity.append(registry.identity_real(key))
+                for string, coeff in registry.measured(key):
+                    reading = walk.read(base + (key,), string)
+                    pair = pairs.setdefault((element, reading), len(pairs))
+                    entries.append((slots[key], reading, coeff, pair))
+            if plan.direct is not None:
+                products.append((element, 1.0, (slots[plan.direct],)))
+            for coeff, atoms in plan.products:
+                products.append((element, coeff, tuple(slots[atom] for atom in atoms)))
+        self.draw_keys = list(walk.draws)
+        self.draw_axes = list(walk.draw_axes)
+        self.strings = [string for _, string in walk.readings]
+        self.reading_draw = np.array(walk.reading_draw, dtype=int)
+        self.reading_mask = np.array(walk.reading_mask, dtype=int)
         self.slot_identity = np.array(slot_identity)
         self.constant = np.array(constant)
         table = np.array(entries, dtype=float).reshape(-1, 4)
@@ -535,20 +525,42 @@ class _ReplayLayout:
         self.product_slots = np.array(
             [atoms + pad * (width - len(atoms)) for _, _, atoms in products], dtype=int
         ).reshape(-1, width)
-        self.square = np.arange(n * n).reshape(n, n)
-        if saving:
-            rows, cols = np.triu_indices(n)
-            self.square[rows, cols] = self.square[cols, rows] = np.arange(len(rows))
-        logger.debug(
-            "replay layout for %s, pauli_saving=%s: %d draws, %d readings, "
-            "%d units, %d elements",
-            builder.parametrization,
-            saving,
-            len(self.draw_keys),
-            len(self.strings),
-            len(slot_identity),
-            len(constant),
-        )
+
+    def exact_means(self, state) -> np.ndarray:
+        """Exact ⟨ψ|P|ψ⟩ of every reading this layout's entries use, else zero."""
+        amps = state.amplitudes
+        means = np.zeros(len(self.strings))
+        for reading in np.unique(self.entry_reading):
+            means[reading] = np.vdot(amps, pauli_action(amps, self.strings[reading])).real
+        return means
+
+    def sampled_means(self, cache: MeasurementCache) -> np.ndarray:
+        """Reading means from the cache's histograms, after appending the
+        draws of this layout that the cache does not hold yet."""
+        start = len(cache.histograms)
+        new = [
+            cache.draw(occ_id, clique, axes)
+            for (occ_id, clique), axes in zip(
+                self.draw_keys[start:], self.draw_axes[start:]
+            )
+        ]
+        if new:
+            cache.histograms = np.vstack([cache.histograms, new])
+        return parity_means(cache.histograms)[self.reading_draw, self.reading_mask]
+
+    def _factors(self, means: np.ndarray) -> np.ndarray:
+        n_slots = len(self.slot_identity)
+        slot_terms = self.entry_coeff * means[self.entry_reading]
+        slots = self.slot_identity + np.bincount(self.entry_slot, slot_terms, n_slots)
+        return np.append(slots, 1.0)[self.product_slots]
+
+    def _values(self, factors: np.ndarray) -> np.ndarray:
+        terms = self.product_coeff * factors.prod(axis=1)
+        return self.constant + np.bincount(self.product_element, terms, len(self.constant))
+
+    def values(self, means: np.ndarray) -> np.ndarray:
+        """Element values, in element order, from reading means."""
+        return self._values(self._factors(means))
 
     def matrices(self, means: np.ndarray, shots: float) -> dict:
         """QLRProblem's a, b, sigma and their std fields from reading means.
@@ -560,11 +572,8 @@ class _ReplayLayout:
         is one sample; without it every occurrence is its own.
         """
         n_slots, n_elements = len(self.slot_identity), len(self.constant)
-        slot_terms = self.entry_coeff * means[self.entry_reading]
-        slots = self.slot_identity + np.bincount(self.entry_slot, slot_terms, n_slots)
-        factors = np.append(slots, 1.0)[self.product_slots]
-        terms = self.product_coeff * factors.prod(axis=1)
-        values = self.constant + np.bincount(self.product_element, terms, n_elements)
+        factors = self._factors(means)
+        values = self._values(factors)
         # First-order sensitivity of each product to each of its factors.
         partials = np.empty_like(factors)
         for col in range(factors.shape[1]):
@@ -594,9 +603,10 @@ class _ReplayLayout:
 class ResponseBuilder:
     """Compiles and evaluates the response problem for one ground state.
 
-    Compilation happens once per parametrization; evaluation walks the
-    compiled plans with either the exact statevector or a shot-based
-    measurement cache, so repeated sampled runs reuse all symbolic work.
+    Compilation happens once per parametrization; evaluation reads the
+    compiled plans through replay layouts with either exact means or a
+    shot-based measurement cache, so repeated sampled runs reuse all
+    symbolic work.
     """
 
     def __init__(self, ground: OOVQEResult, parametrization: str):
@@ -616,13 +626,12 @@ class ResponseBuilder:
         self._registry = _AtomRegistry(polys, self.space, self.mapping)
         self._plans: dict[tuple, ElementPlan] = {}
         self._dipole_axes: list[str] | None = None
-        self._layouts: dict[bool, _ReplayLayout] = {}
+        self._layouts: dict[tuple[str, bool], _ReplayLayout] = {}
         n = len(self.basis)
         for tag in _MATRIX_TAGS:
             for i in range(n):
                 for j in range(i, n):
-                    key = (tag, i, j)
-                    self._plans[key] = self._compile_element(tag, i, j)
+                    self._plan(tag, i, j)
         logger.debug(
             "compiled %d plans for %s (%d operators): %s",
             len(self._plans),
@@ -662,66 +671,110 @@ class ResponseBuilder:
             return _commutator(left, self._x_expr(j, False))
         return _commutator(left, self._x_expr(j, True))
 
-    def _compile_element(self, tag: str, i: int, j: int) -> ElementPlan:
-        normal = _normal_form(self._element_expr(tag, i, j))
+    def _compile_expr(self, expr: dict, direct_key: tuple) -> ElementPlan:
+        """Compile an expression: single-atom words merge under
+        ``direct_key``, and products with an always-zero atom are dropped."""
+        normal = _normal_form(expr)
         constant = normal.pop((), 0.0)
         direct_words: list[tuple[tuple, float]] = []
         products: list[tuple[float, tuple]] = []
         for atoms, coeff in normal.items():
             if len(atoms) == 1:
                 direct_words.append((atoms[0], coeff))
-            else:
-                if any(self._registry.always_zero(atom) for atom in atoms):
-                    continue
+            elif not any(self._registry.always_zero(atom) for atom in atoms):
                 products.append((coeff, atoms))
-        direct_key = None
-        if direct_words:
-            key = ("direct", tag, i, j)
-            if self._registry.merged(key, direct_words):
-                direct_key = key
-        for _, atoms in products:
-            for atom in atoms:
-                self._registry.atom(atom)
+        if not (direct_words and self._registry.merged(direct_key, direct_words)):
+            direct_key = None
         products.sort(key=lambda item: item[1])
-        return ElementPlan(
-            constant=float(constant),
-            direct=direct_key,
-            products=tuple(products),
-        )
+        return ElementPlan(float(constant), direct_key, tuple(products))
 
     def _plan(self, tag: str, i: int, j: int) -> ElementPlan:
-        if j >= i:
-            return self._plans[(tag, i, j)]
-        return self._plans[(tag, j, i)]
+        """The plan of element (tag, i, j), compiled on first use.  A, B and
+        Σ read (j, i) for i > j; Δ is antisymmetric and only asked for i < j."""
+        key = (tag, min(i, j), max(i, j))
+        plan = self._plans.get(key)
+        if plan is None:
+            expr = self._element_expr(*key)
+            plan = self._plans[key] = self._compile_expr(expr, ("direct", *key))
+        return plan
+
+    def _dipole_plans(self) -> list[str]:
+        if self._dipole_axes is None:
+            system = self.ground.system
+            if not system.dipole:
+                raise ValueError(
+                    "dipole integrals are required for oscillator strengths"
+                )
+            axes = sorted(system.dipole)
+            for axis in axes:
+                token = ("d", _AXES.index(axis), 0)
+                self._registry.add_poly(token, dipole_poly(system, axis))
+                mu = {((), (token,)): 1.0}
+                for l in range(len(self.basis)):
+                    for tag, dagger in (("V", True), ("W", False)):
+                        expr = _commutator(mu, self._x_expr(l, dagger))
+                        key = (tag, axis, l)
+                        self._plans[key] = self._compile_expr(expr, ("direct", *key))
+            self._dipole_axes = axes
+        return self._dipole_axes
 
     # -- evaluation ----------------------------------------------------------
 
-    def _element(self, plan: ElementPlan, mean, occ_base: tuple) -> float:
-        """Value of one element, reading every measured string through
-        ``mean(string, occurrence)``; used for Δ and the transition
-        moments, which carry no spread estimate."""
-        registry = self._registry
-        values: dict[tuple, float] = {}
-        for key in plan.unit_keys():
-            occurrence = occ_base + (key,)
-            value = registry.identity_real(key)
-            for string, coeff in registry.measured(key):
-                value += coeff * mean(string, occurrence)
-            values[key] = value
-        total = plan.constant
-        if plan.direct is not None:
-            total += values[plan.direct]
-        for coeff, atoms in plan.products:
-            term = coeff
-            for atom in atoms:
-                term *= values[atom]
-            total += term
-        return total
+    def _layout(self, kind: str, saving: bool = True) -> _ReplayLayout:
+        """The replay layout of one kind, lowered once per builder.
 
-    def _replay_layout(self, saving: bool) -> _ReplayLayout:
-        layout = self._layouts.get(saving)
-        if layout is None:
-            layout = self._layouts[saving] = _ReplayLayout(self, saving)
+        "ABS" holds A, B and Σ: the upper triangle with Pauli saving, the
+        full square without.  "VW" holds the transition moments (axis,
+        then l, then V before W) and continues the ABS walk of the same
+        saving mode.  "D" holds Δ (i < j) on a walk of its own; it is
+        read only with exact means.
+        """
+        layout = self._layouts.get((kind, saving))
+        if layout is not None:
+            return layout
+        n = len(self.basis)
+        square = None
+        if kind == "ABS":
+            walk = _Walk(self.n_qubits, saving)
+            elements = [
+                ((tag, i, j), self._plan(tag, i, j))
+                for tag in _MATRIX_TAGS
+                for i in range(n)
+                for j in (range(i, n) if saving else range(n))
+            ]
+            square = np.arange(n * n).reshape(n, n)
+            if saving:
+                rows, cols = np.triu_indices(n)
+                square[rows, cols] = square[cols, rows] = np.arange(len(rows))
+        elif kind == "VW":
+            axes = self._dipole_plans()
+            walk = self._layout("ABS", saving).walk
+            elements = [
+                ((tag, axis, l), self._plans[tag, axis, l])
+                for axis in axes
+                for l in range(n)
+                for tag in ("V", "W")
+            ]
+        else:
+            walk = _Walk(self.n_qubits, True)
+            elements = [
+                (("D", i, j), self._plan("D", i, j))
+                for i in range(n)
+                for j in range(i + 1, n)
+            ]
+        layout = _ReplayLayout(self._registry, walk, elements, square)
+        self._layouts[kind, saving] = layout
+        logger.debug(
+            "replay layout %s for %s, pauli_saving=%s: %d draws, %d readings, "
+            "%d units, %d elements",
+            kind,
+            self.parametrization,
+            saving,
+            len(layout.draw_keys),
+            len(layout.strings),
+            len(layout.slot_identity),
+            len(layout.constant),
+        )
         return layout
 
     def _problem(self, **fields) -> QLRProblem:
@@ -732,29 +785,23 @@ class ResponseBuilder:
             **fields,
         )
 
-    def _delta_matrix(self, mean) -> np.ndarray:
+    def _delta_matrix(self) -> np.ndarray:
+        layout = self._layout("D")
+        values = layout.values(layout.exact_means(self.ground.state))
         n = len(self.basis)
+        rows, cols = np.triu_indices(n, 1)
         delta = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                key = ("D", i, j)
-                plan = self._plans.get(key)
-                if plan is None:
-                    plan = self._compile_element("D", i, j)
-                    self._plans[key] = plan
-                value = self._element(plan, mean, key)
-                delta[i, j] = value
-                delta[j, i] = -value
+        delta[rows, cols] = values
+        delta[cols, rows] = -values
         return delta
 
     def evaluate_exact(self, with_delta: bool = True) -> QLRProblem:
         """Assemble all matrices from exact expectation values."""
-        mean = _exact_means(self.ground.state)
-        layout = self._replay_layout(True)
-        means = np.array([mean(string) for string in layout.strings])
+        layout = self._layout("ABS")
+        means = layout.exact_means(self.ground.state)
         return self._problem(
             **layout.matrices(means, 1.0),
-            delta=self._delta_matrix(mean) if with_delta else None,
+            delta=self._delta_matrix() if with_delta else None,
             mode="exact",
             shots=None,
             pauli_saving=None,
@@ -776,9 +823,9 @@ class ResponseBuilder:
         histograms, which makes the sampled matrices exactly symmetric;
         without it every element occurrence is sampled independently and
         the quadratic blocks are symmetrized afterwards.  Passing a cache
-        lets later property evaluations reuse the same histograms; it
+        lets the transition moments reuse the same histograms; it
         overrides the shot and seed arguments, and it must be bound to
-        this builder's state and hold no registered strings yet.
+        this builder's state and hold no draws yet.
         """
         if cache is None:
             if shots <= 0:
@@ -794,14 +841,11 @@ class ResponseBuilder:
             )
         elif cache.fingerprint != self.ground.state.fingerprint():
             raise ValueError("cache is bound to a different state")
-        elif cache.registered:
-            raise ValueError("cache already holds registered strings; pass a fresh one")
-        layout = self._replay_layout(cache.pauli_saving)
-        draws = zip(layout.draw_keys, layout.draw_axes)
-        hists = np.array([cache.draw(*key, axes) for key, axes in draws])
-        hists = hists.reshape(len(layout.draw_keys), 1 << self.n_qubits)
-        cache.replay(layout.covers, layout.occurrence_ids, layout.draw_keys, hists)
-        means = _walsh(hists)[layout.reading_draw, layout.reading_mask]
+        elif cache.cliques_sampled:
+            raise ValueError("cache already holds draws; pass a fresh one")
+        layout = self._layout("ABS", cache.pauli_saving)
+        means = layout.sampled_means(cache)
+        cache.filled_by = layout
         return self._problem(
             **layout.matrices(means, float(cache.shots)),
             delta=None,
@@ -819,84 +863,43 @@ class ResponseBuilder:
         "none" counts every Pauli string of every measurement unit of
         every element occurrence, "qwc" greedily groups qubit-wise
         commuting strings within one unit, and "ps_qwc" additionally
-        shares the groups across the whole problem.
+        shares the groups across the whole problem: the entries and draws
+        of the unsaved A, B and Σ layout, and the draws of the saved one.
         """
-        n = len(self.basis)
-        none = 0
-        qwc = 0
-        shared = CliqueCover(self.n_qubits)
-        for tag in _MATRIX_TAGS:
-            for i in range(n):
-                for j in range(n):
-                    plan = self._plan(tag, i, j)
-                    for key in plan.unit_keys():
-                        strings = [s for s, _ in self._registry.measured(key)]
-                        if not strings:
-                            continue
-                        none += len(strings)
-                        qwc += len(cover_first_fit(self.n_qubits, strings))
-                        for string in strings:
-                            shared.register(string)
-        return {"none": none, "qwc": qwc, "ps_qwc": len(shared)}
+        unsaved = self._layout("ABS", False)
+        return {
+            "none": len(unsaved.entry_reading),
+            "qwc": len(unsaved.draw_keys),
+            "ps_qwc": len(self._layout("ABS", True).draw_keys),
+        }
 
     # -- transition moments ------------------------------------------------------
 
-    def _dipole_plans(self) -> list[str]:
-        if self._dipole_axes is None:
-            system = self.ground.system
-            if not system.dipole:
-                raise ValueError(
-                    "dipole integrals are required for oscillator strengths"
-                )
-            axes = sorted(system.dipole)
-            for axis in axes:
-                token = ("d", _AXES.index(axis), 0)
-                self._registry.add_poly(token, dipole_poly(system, axis))
-                mu = {((), (token,)): 1.0}
-                for l in range(len(self.basis)):
-                    for tag, dagger in (("V", True), ("W", False)):
-                        expr = _commutator(mu, self._x_expr(l, dagger))
-                        normal = _normal_form(expr)
-                        constant = normal.pop((), 0.0)
-                        words = []
-                        products = []
-                        for atoms, coeff in normal.items():
-                            if len(atoms) == 1:
-                                words.append((atoms[0], coeff))
-                            elif not any(
-                                self._registry.always_zero(a) for a in atoms
-                            ):
-                                products.append((coeff, atoms))
-                                for atom in atoms:
-                                    self._registry.atom(atom)
-                        direct_key = None
-                        if words:
-                            key = ("direct", tag, axis, l)
-                            if self._registry.merged(key, words):
-                                direct_key = key
-                        products.sort(key=lambda item: item[1])
-                        self._plans[(tag, axis, l)] = ElementPlan(
-                            float(constant), direct_key, tuple(products)
-                        )
-            self._dipole_axes = axes
-        return self._dipole_axes
-
     def transition_moments(self, cache: MeasurementCache | None = None):
-        """Return per-axis moment rows (V, W) over the operator basis."""
-        axes = self._dipole_plans()
+        """Return per-axis moment rows (V, W) over the operator basis.
+
+        Without a cache the moments are exact.  A cache must have been
+        filled by this builder's evaluate_sampled: the moments then read
+        its histograms, and the cliques only they need are drawn and
+        appended to it.
+        """
         if cache is None:
-            mean = _exact_means(self.ground.state)
+            layout = self._layout("VW")
+            means = layout.exact_means(self.ground.state)
         else:
-            mean = lambda string, occurrence: cache.mean_p1(string, occurrence)[0]
+            filled = self._layouts.get(("ABS", cache.pauli_saving))
+            if filled is None or cache.filled_by is not filled:
+                raise ValueError(
+                    "cache was not filled by this builder's evaluate_sampled"
+                )
+            layout = self._layout("VW", cache.pauli_saving)
+            means = layout.sampled_means(cache)
         n = len(self.basis)
+        rows = [_AXES.index(axis) for axis in self._dipole_axes]
+        values = layout.values(means).reshape(len(rows), n, 2)
         v = np.zeros((3, n))
         w = np.zeros((3, n))
-        for axis in axes:
-            row = _AXES.index(axis)
-            for l in range(n):
-                for tag, moments in (("V", v), ("W", w)):
-                    key = (tag, axis, l)
-                    moments[row, l] = self._element(self._plans[key], mean, key)
+        v[rows], w[rows] = values[..., 0], values[..., 1]
         return v, w
 
     def oscillator_strengths(
@@ -983,16 +986,9 @@ def solve(problem: QLRProblem, zero_tol: float = 1e-10) -> QLRSolution:
     order = np.argsort(omega, kind="stable")
     omega = omega[order]
     vectors = vectors[:, order]
-    norms_ok = np.zeros(omega.size, dtype=bool)
-    normalized = np.zeros_like(vectors)
-    for k in range(omega.size):
-        beta = vectors[:, k]
-        norm = float(np.real(beta.conj() @ s2 @ beta))
-        if norm > 1e-12:
-            normalized[:, k] = beta / math.sqrt(norm)
-            norms_ok[k] = True
-        else:
-            normalized[:, k] = beta
+    norms = np.real(np.sum(vectors.conj() * (s2 @ vectors), axis=0))
+    norms_ok = norms > 1e-12
+    normalized = vectors / np.sqrt(np.where(norms_ok, norms, 1.0))
     if np.abs(normalized.imag).max(initial=0.0) < 1e-10:
         normalized = normalized.real.astype(float)
     return QLRSolution(

@@ -3,9 +3,8 @@
 Conventions follow pauli_core: character ``i`` of a Pauli string acts on
 qubit ``i``, and qubit 0 is the least significant bit of a basis-state
 index. All sampling is driven by ``numpy.random.SeedSequence`` spawn keys
-of the form ``(run_id, clique)`` (with Pauli saving) or
-``(run_id, occurrence, clique)`` (without), so campaigns are reproducible
-and embarrassingly parallel.
+(see ``MeasurementCache``), so campaigns are reproducible and
+embarrassingly parallel.
 
 Measured values only ever use the real part of Pauli coefficients; strings
 whose coefficient has no real part carry no signal for real-valued targets
@@ -32,9 +31,9 @@ from .chem_io import (
 )
 from .pauli_core import (
     Clique,
-    CliqueCover,
     FermionPolynomial,
     PauliSum,
+    cover_first_fit,
     map_to_paulis,
     parity_transform_bits,
 )
@@ -360,19 +359,33 @@ def sample_clique(
     return rng.multinomial(shots, _outcome_probabilities(state, axes, noise))
 
 
+def parity_means(hists: np.ndarray) -> np.ndarray:
+    """Parity means of every z-mask: out[d, m] = Σ_x (-1)^|x & m| hists[d, x].
+
+    One fast Walsh–Hadamard transform per histogram row.
+    """
+    out = hists
+    rows, dim = hists.shape
+    half = 1
+    while half < dim:
+        pairs = out.reshape(rows, dim // (2 * half), 2, half)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        out = np.stack((low + high, low - high), axis=2).reshape(rows, dim)
+        half *= 2
+    return out
+
+
 class MeasurementCache:
-    """Per-state store of sampled clique distributions (Pauli saving).
+    """One sampled run: its settings and its clique histograms, in draw order.
 
-    With ``pauli_saving`` every Pauli string joins one global first-fit
-    clique cover and its clique is sampled exactly once for the bound
-    state, so each string keeps the same sampled distribution wherever it
-    appears. Without it, every occurrence key owns a private cover whose
-    cliques are sampled independently.
-
-    Draw rule: a clique is drawn in the axes it has at its first lookup,
-    and strings it absorbs later read that same histogram. A later member
-    that widens an I qubit to X or Y is therefore read in a stale basis.
-    This is a known bias, kept so that seeded references still hold.
+    ``draw`` samples one clique histogram with a generator seeded by
+    ``SeedSequence(master_seed, spawn_key=(run_id, clique))`` with Pauli
+    saving and ``(run_id, occurrence, clique)`` without, where clique and
+    occurrence are the numbers the caller's clique covers give them; so
+    every run is reproducible and independent of every other.  The caller
+    decides which cliques to draw, in which axes, and which histogram each
+    string reads; it appends the draws to ``histograms`` (one row each) and
+    records in ``filled_by`` the replay layout that filled the cache.
     """
 
     def __init__(
@@ -395,44 +408,19 @@ class MeasurementCache:
         self.mitigator = mitigator
         self.pauli_saving = bool(pauli_saving)
         self.fingerprint = state.fingerprint()
-        self._covers: dict[int, CliqueCover] = {}
-        self._occurrence_ids: dict = {}
-        self._samples: dict[tuple[int, int], np.ndarray] = {}
-        self._stats: dict[tuple[int, int, str], tuple[float, float]] = {}
+        self.histograms = np.empty((0, 1 << state.n_qubits))
+        self.filled_by = None
         self._probs: dict[str, np.ndarray] = {}
-        self.cliques_sampled = 0
-
-    def _occurrence(self, occurrence) -> int:
-        if self.pauli_saving:
-            return -1
-        if occurrence not in self._occurrence_ids:
-            self._occurrence_ids[occurrence] = len(self._occurrence_ids)
-        return self._occurrence_ids[occurrence]
-
-    def _cover(self, occ_id: int) -> CliqueCover:
-        cover = self._covers.get(occ_id)
-        if cover is None:
-            cover = CliqueCover(self.state.n_qubits)
-            self._covers[occ_id] = cover
-        return cover
-
-    def register(self, strings, occurrence=None) -> None:
-        """Insert strings into the occurrence's clique cover (first fit)."""
-        cover = self._cover(self._occurrence(occurrence))
-        for string in strings:
-            cover.register(string)
 
     @property
-    def registered(self) -> int:
-        """How many strings the clique covers hold, over all occurrences."""
-        return sum(len(cover.member_index) for cover in self._covers.values())
+    def cliques_sampled(self) -> int:
+        return len(self.histograms)
 
     def draw(self, occ_id: int, clique_idx: int, axes: str) -> np.ndarray:
         """Mitigated quasi-probabilities of one clique histogram.
 
-        The spawn key is ``(run_id, clique)`` with Pauli saving and
-        ``(run_id, occurrence, clique)`` without; readout noise acts
-        before the draw and the mitigator after it.
+        Readout noise acts before the draw and the mitigator after it;
+        ``occ_id`` enters the spawn key only without Pauli saving.
         """
         spawn = (clique_idx,) if self.pauli_saving else (occ_id, clique_idx)
         seed = np.random.SeedSequence(self.master_seed, spawn_key=(self.run_id, *spawn))
@@ -446,75 +434,42 @@ class MeasurementCache:
             vec = self.mitigator.apply(vec)
         return vec
 
-    def replay(self, covers: dict, occurrence_ids: dict, keys: list, hists) -> None:
-        """Adopt the covers, occurrence numbering and histograms (row r
-        drawn for ``keys[r] = (occurrence id, clique)``) of a lookup
-        sequence replayed in bulk; later lookups continue as if it had
-        been looked up string by string.  Nothing passed in is mutated."""
-        self._covers = {occ: cover.copy() for occ, cover in covers.items()}
-        self._occurrence_ids = dict(occurrence_ids)
-        self._samples = dict(zip(keys, hists))
-        self._stats = {}
-        self.cliques_sampled = len(keys)
-
-    def _quasi_probabilities(self, occ_id: int, clique_idx: int) -> np.ndarray:
-        key = (occ_id, clique_idx)
-        vec = self._samples.get(key)
-        if vec is None:
-            axes = self._covers[occ_id].cliques[clique_idx].axes
-            vec = self.draw(occ_id, clique_idx, axes)
-            self._samples[key] = vec
-            self.cliques_sampled += 1
-        return vec
-
-    def mean_p1(self, string: str, occurrence=None) -> tuple[float, float]:
-        """Sampled mean and p(eigenvalue −1) for one Pauli string."""
-        occ_id = self._occurrence(occurrence)
-        cover = self._cover(occ_id)
-        clique_idx = cover.member_index.get(string)
-        if clique_idx is None:
-            clique_idx = cover.register(string)
-        stat_key = (occ_id, clique_idx, string)
-        cached = self._stats.get(stat_key)
-        if cached is not None:
-            return cached
-        vec = self._quasi_probabilities(occ_id, clique_idx)
-        mask = 0
-        for qubit, char in enumerate(string):
-            if char != "I":
-                mask |= 1 << qubit
-        signs = 1 - 2 * _parity(np.arange(len(vec)) & mask)
-        mean = float(np.dot(signs, vec))
-        p1 = 0.5 * (1.0 - mean)
-        self._stats[stat_key] = (mean, p1)
-        return mean, p1
-
 
 def sampled_expectation(
-    state: Statevector, op: PauliSum, cache: MeasurementCache, occurrence=None
+    state: Statevector, op: PauliSum, cache: MeasurementCache
 ) -> tuple[float, float]:
     """Shot-based estimate of a real expectation value with its predicted std.
 
-    The value is Σ_l Re{c_l}·mean_l plus the exact identity contribution;
-    the predicted standard deviation applies the single-shot variance
-    4·Re{c²}·(p₁−p₁²) per string (negative contributions clamped to zero)
-    and scales by 1/√shots. Strings with no real coefficient part are
-    skipped entirely: they carry no signal for a real-valued target.
+    The contributing strings are covered first-fit and each clique is
+    drawn once, in its final axes, as occurrence 0 of a cache that must
+    hold no draws yet.  The value is Σ_l Re{c_l}·mean_l plus the exact
+    identity contribution; the predicted standard deviation applies the
+    single-shot variance 4·Re{c²}·(p₁−p₁²) per string (negative
+    contributions clamped to zero) and scales by 1/√shots. Strings with no
+    real coefficient part are skipped entirely: they carry no signal for a
+    real-valued target.
     """
     if state.fingerprint() != cache.fingerprint:
         raise ValueError("cache is bound to a different state")
     if op.n_qubits != state.n_qubits:
         raise ValueError("operator and state sizes differ")
-    value = op.identity_coefficient().real
+    if cache.cliques_sampled:
+        raise ValueError("cache already holds draws; pass a fresh one")
     contributing = [
         (string, coeff)
         for string, coeff in op.non_identity_terms()
         if abs(coeff.real) > REAL_COEFF_TOL
     ]
-    cache.register((string for string, _ in contributing), occurrence)
+    cover = cover_first_fit(state.n_qubits, (string for string, _ in contributing))
+    draws = [cache.draw(0, idx, clique.axes) for idx, clique in enumerate(cover.cliques)]
+    cache.histograms = np.array(draws).reshape(len(draws), 1 << state.n_qubits)
+    means = parity_means(cache.histograms)
+    value = op.identity_coefficient().real
     variance = 0.0
     for string, coeff in contributing:
-        mean, p1 = cache.mean_p1(string, occurrence)
+        mask = sum(1 << q for q, axis in enumerate(string) if axis != "I")
+        mean = means[cover.member_index[string], mask]
+        p1 = 0.5 * (1.0 - mean)
         value += coeff.real * mean
         variance += max(4.0 * (coeff * coeff).real, 0.0) * max(p1 - p1 * p1, 0.0)
     return value, float(np.sqrt(variance / cache.shots))

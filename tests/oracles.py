@@ -17,6 +17,8 @@ from collections import Counter
 
 import numpy as np
 
+from qlrlab.pauli_core import CliqueCover
+
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -330,6 +332,72 @@ class ExactMeans:
         return hit
 
 
+class ReferenceCache:
+    """String-by-string lookups over a fresh MeasurementCache's draws.
+
+    This is the lookup rule MeasurementCache.mean_p1 applied before the
+    replay layout: with Pauli saving every string joins one first-fit
+    cover (id -1); without it every occurrence key owns a cover, numbered
+    at its first lookup; a clique is drawn, in the axes it has then, at
+    the first lookup that reads it.
+    """
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.pauli_saving = cache.pauli_saving
+        self.shots = cache.shots
+        self._covers: dict = {}
+        self._occurrence_ids: dict = {}
+        self._samples: dict = {}
+        self._stats: dict = {}
+
+    @property
+    def cliques_sampled(self) -> int:
+        return len(self._samples)
+
+    def _occurrence(self, occurrence) -> int:
+        if self.pauli_saving:
+            return -1
+        if occurrence not in self._occurrence_ids:
+            self._occurrence_ids[occurrence] = len(self._occurrence_ids)
+        return self._occurrence_ids[occurrence]
+
+    def _cover(self, occ_id: int) -> CliqueCover:
+        cover = self._covers.get(occ_id)
+        if cover is None:
+            cover = CliqueCover(self.cache.state.n_qubits)
+            self._covers[occ_id] = cover
+        return cover
+
+    def _quasi_probabilities(self, occ_id: int, clique_idx: int) -> np.ndarray:
+        key = (occ_id, clique_idx)
+        vec = self._samples.get(key)
+        if vec is None:
+            axes = self._covers[occ_id].cliques[clique_idx].axes
+            vec = self.cache.draw(occ_id, clique_idx, axes)
+            self._samples[key] = vec
+        return vec
+
+    def mean_p1(self, string: str, occurrence=None) -> tuple[float, float]:
+        """Sampled mean and p(eigenvalue −1) for one Pauli string."""
+        occ_id = self._occurrence(occurrence)
+        cover = self._cover(occ_id)
+        clique_idx = cover.member_index.get(string)
+        if clique_idx is None:
+            clique_idx = cover.register(string)
+        stat_key = (occ_id, clique_idx, string)
+        cached = self._stats.get(stat_key)
+        if cached is not None:
+            return cached
+        vec = self._quasi_probabilities(occ_id, clique_idx)
+        mask = sum(1 << q for q, axis in enumerate(string) if axis != "I")
+        signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(len(vec)) & mask) % 2)
+        mean = float(np.dot(signs, vec))
+        p1 = 0.5 * (1.0 - mean)
+        self._stats[stat_key] = (mean, p1)
+        return mean, p1
+
+
 def chain_factors(products, values) -> dict:
     """First-order sensitivities of the product terms to each atom value."""
     weights: dict = {}
@@ -411,20 +479,43 @@ def reference_delta(builder, evaluator) -> np.ndarray:
     for i in range(n):
         for j in range(i + 1, n):
             key = ("D", i, j)
-            plan = builder._plans.get(key)
-            if plan is None:
-                plan = builder._compile_element("D", i, j)
-                builder._plans[key] = plan
+            plan = builder._plan("D", i, j)
             value, _, _ = reference_element(builder, plan, evaluator, key, True)
             delta[i, j] = value
             delta[j, i] = -value
     return delta
 
 
-def reference_sampled(builder, cache) -> dict:
-    """Sampled A, B, S through a fresh cache's string-by-string lookups."""
+def reference_sampled(builder, cache: ReferenceCache) -> dict:
+    """Sampled A, B, S through string-by-string lookups on a fresh cache."""
     saving = cache.pauli_saving
     return reference_matrices(builder, cache, saving, saving, float(cache.shots))
+
+
+def reference_moments(builder, evaluator) -> tuple[np.ndarray, np.ndarray]:
+    """Transition moment rows (V, W), axis by axis, l by l, V before W."""
+    axes = builder._dipole_plans()
+    n = len(builder.basis)
+    v = np.zeros((3, n))
+    w = np.zeros((3, n))
+    for axis in axes:
+        for l in range(n):
+            for tag, moments in (("V", v), ("W", w)):
+                key = (tag, axis, l)
+                plan = builder._plans[key]
+                value, _, _ = reference_element(builder, plan, evaluator, key, True)
+                moments["xyz".index(axis), l] = value
+    return v, w
+
+
+def reference_strengths(solution, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Oscillator strengths (2/3)·ω·|V·Z + W·Y|², NaN where the norm failed."""
+    n = v.shape[1]
+    f = np.full(solution.n_states, np.nan)
+    for k in np.flatnonzero(solution.norms_ok):
+        moments = v @ solution.vectors[:n, k] + w @ solution.vectors[n:, k]
+        f[k] = (2.0 / 3.0) * solution.omega[k] * float(np.sum(moments**2))
+    return f
 
 
 def reference_exact(builder) -> tuple[dict, np.ndarray]:

@@ -149,14 +149,16 @@ def test_singular_matrix_raises():
 
 def test_cache_applies_mitigator():
     """A cache with the exact inverse channel cancels the injected noise."""
-    from qlrlab.sim_engine import Statevector
+    from qlrlab.pauli_core import PauliSum
+    from qlrlab.sim_engine import Statevector, sampled_expectation
 
     state = Statevector(1, np.array([np.sqrt(0.8), np.sqrt(0.2)]))
     noise = NoiseModel.uniform(1, readout=0.1)
     cm = build_confusion(1, noise=noise)
     kwargs = dict(shots=50_000, master_seed=8, noise=noise)
-    raw = MeasurementCache(state, **kwargs).mean_p1("Z")[0]
-    fixed = MeasurementCache(state, mitigator=cm, **kwargs).mean_p1("Z")[0]
+    op = PauliSum(1, {"Z": 1.0})
+    raw, _ = sampled_expectation(state, op, MeasurementCache(state, **kwargs))
+    fixed, _ = sampled_expectation(state, op, MeasurementCache(state, mitigator=cm, **kwargs))
     assert abs(raw - 0.6 * 0.8) < 0.02
     assert abs(fixed - 0.6) < 0.02
 

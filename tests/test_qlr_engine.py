@@ -23,10 +23,13 @@ from qlrlab.qlr_engine import (
 from qlrlab.mitigation import build_confusion
 from qlrlab.sim_engine import NoiseModel, Statevector, oo_vqe
 from oracles import (
+    ReferenceCache,
     dense_fermion,
     fci,
     reference_exact,
+    reference_moments,
     reference_sampled,
+    reference_strengths,
     singlet_energies,
 )
 
@@ -511,11 +514,25 @@ def test_sampled_rejects_cache_of_another_state(h2_ground, h2_builders):
         h2_builders["naive"].evaluate_sampled(0, cache=cache)
 
 
-def test_sampled_rejects_cache_with_registered_strings(h2_ground, h2_builders):
+def test_sampled_rejects_used_cache(h2_ground, h2_builders):
     cache = MeasurementCache(h2_ground.state, shots=100)
-    cache.register(["ZIII"])
-    with pytest.raises(ValueError, match="registered strings"):
+    h2_builders["naive"].evaluate_sampled(0, cache=cache)
+    with pytest.raises(ValueError, match="holds draws"):
         h2_builders["naive"].evaluate_sampled(0, cache=cache)
+
+
+def test_moments_need_a_cache_this_builder_filled(h2_ground, h2_builders):
+    naive, proj = h2_builders["naive"], h2_builders["proj"]
+    fresh = MeasurementCache(h2_ground.state, shots=100)
+    with pytest.raises(ValueError, match="not filled by this builder"):
+        naive.transition_moments(fresh)
+    other = MeasurementCache(h2_ground.state, shots=100)
+    proj.evaluate_sampled(0, cache=other)
+    with pytest.raises(ValueError, match="not filled by this builder"):
+        naive.transition_moments(other)
+    unsaved = MeasurementCache(h2_ground.state, shots=100, pauli_saving=False)
+    with pytest.raises(ValueError, match="not filled by this builder"):
+        naive.transition_moments(unsaved)
 
 
 def test_replay_layout_is_logged_once(h2_ground, caplog):
@@ -535,9 +552,10 @@ def test_replay_layout_is_logged_once(h2_ground, caplog):
 # -- replay layout against the string-by-string reference ---------------------------
 #
 # tests/oracles.py keeps the evaluator that walked every plan string by
-# string.  The replay layout must reproduce it: the same draws (equal
-# cliques_sampled, matrices within 1e-12) and a cache that later lookups
-# (the transition moments) see exactly as the reference left it.
+# string over a cache that drew each clique at its first lookup.  The
+# replay layouts must reproduce it: the same draws (equal cliques_sampled,
+# matrices within 1e-12), and transition moments that continue the same
+# covers and numbering and draw only the cliques the moments add.
 
 REPLAY_TOL = 1e-12
 
@@ -575,14 +593,19 @@ def test_replay_matches_string_by_string_reference(
                 )
                 cache = MeasurementCache(state, **kwargs)
                 problem = builder.evaluate_sampled(0, cache=cache)
-                reference_cache = MeasurementCache(state, **kwargs)
-                _assert_mats_close(reference_sampled(builder, reference_cache), problem)
-                assert problem.cliques_sampled == reference_cache.cliques_sampled
+                reference = ReferenceCache(MeasurementCache(state, **kwargs))
+                _assert_mats_close(reference_sampled(builder, reference), problem)
+                assert problem.cliques_sampled == reference.cliques_sampled
+                v, w = builder.transition_moments(cache)
+                v_ref, w_ref = reference_moments(builder, reference)
+                np.testing.assert_allclose(v, v_ref, rtol=0.0, atol=REPLAY_TOL)
+                np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=REPLAY_TOL)
+                assert cache.cliques_sampled == reference.cliques_sampled
                 solution = solve(problem)
                 f = builder.oscillator_strengths(solution, cache)
-                f_reference = builder.oscillator_strengths(solution, reference_cache)
+                f_reference = reference_strengths(solution, v_ref, w_ref)
                 np.testing.assert_allclose(f, f_reference, rtol=0.0, atol=REPLAY_TOL)
-                assert cache.cliques_sampled == reference_cache.cliques_sampled
+                assert cache.cliques_sampled == reference.cliques_sampled
 
 
 @pytest.mark.parametrize("system", ["h2", "h6"])

@@ -222,34 +222,34 @@ def test_sample_clique_readout_bias():
 
 
 def test_cache_reuses_samples():
+    """Strings of one clique read a single draw."""
     state = _random_state(2, 31)
     cache = MeasurementCache(state, shots=1000, master_seed=7)
-    first = cache.mean_p1("ZI")
-    assert cache.cliques_sampled == 1
-    assert cache.mean_p1("ZI") == first
-    cache.mean_p1("IZ")
-    assert cache.cliques_sampled == 1
-    cache.mean_p1("XI")
+    op = PauliSum(2, {"ZI": 1.0, "IZ": 2.0, "ZZ": 4.0, "XX": 8.0})
+    value, _ = sampled_expectation(state, op, cache)
     assert cache.cliques_sampled == 2
+    zz, xx = cache.histograms
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(4)[None, :] & [[1], [2], [3]]) % 2)
+    want = np.array([1.0, 2.0, 4.0]) @ signs @ zz + 8.0 * (signs[2] @ xx)
+    assert value == pytest.approx(want, abs=1e-12)
 
 
 def test_cache_without_saving_samples_per_occurrence():
     state = _random_state(2, 32)
-    cache = MeasurementCache(state, shots=2000, master_seed=7, pauli_saving=False)
-    a = cache.mean_p1("ZI", occurrence=("A", 0, 0))
-    b = cache.mean_p1("ZI", occurrence=("A", 0, 1))
-    assert cache.cliques_sampled == 2
-    assert a != b
+    unsaved = MeasurementCache(state, shots=2000, master_seed=7, pauli_saving=False)
+    assert not np.array_equal(unsaved.draw(0, 0, "ZI"), unsaved.draw(1, 0, "ZI"))
+    saved = MeasurementCache(state, shots=2000, master_seed=7)
+    assert np.array_equal(saved.draw(0, 0, "ZI"), saved.draw(1, 0, "ZI"))
 
 
 def test_cache_seeding_is_reproducible():
     state = _random_state(2, 33)
     kwargs = dict(shots=500, master_seed=11, run_id=4)
-    first = MeasurementCache(state, **kwargs).mean_p1("XY")
-    second = MeasurementCache(state, **kwargs).mean_p1("XY")
+    first = MeasurementCache(state, **kwargs).draw(0, 0, "XY")
+    second = MeasurementCache(state, **kwargs).draw(0, 0, "XY")
     other_run = MeasurementCache(state, shots=500, master_seed=11, run_id=5)
-    assert first == second
-    assert first != other_run.mean_p1("XY")
+    assert np.array_equal(first, second)
+    assert not np.array_equal(first, other_run.draw(0, 0, "XY"))
 
 
 def test_cache_rejects_foreign_state():
@@ -257,6 +257,15 @@ def test_cache_rejects_foreign_state():
     other = _random_state(2, 35)
     with pytest.raises(ValueError, match="different state"):
         sampled_expectation(other, PauliSum(2, {"ZI": 1.0}), cache)
+
+
+def test_sampled_expectation_rejects_used_cache():
+    state = _random_state(2, 38)
+    cache = MeasurementCache(state, shots=100)
+    op = PauliSum(2, {"ZI": 1.0})
+    sampled_expectation(state, op, cache)
+    with pytest.raises(ValueError, match="holds draws"):
+        sampled_expectation(state, op, cache)
 
 
 def test_cache_requires_positive_shots():

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import EV_PER_HARTREE
+from . import EV_PER_HARTREE, jsonable
 from .chem_io import (
     ActiveSpace,
     MolecularSystem,
@@ -193,23 +193,10 @@ def _load_system(cfg: RunConfig) -> tuple[MolecularSystem, ActiveSpace]:
 # ---------------------------------------------------------------------------
 
 
-def _clean(value):
-    """Replace non-finite floats with None so payloads stay strict JSON."""
-    if isinstance(value, dict):
-        return {key: _clean(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(item) for item in value]
-    if isinstance(value, (float, np.floating)):
-        return float(value) if np.isfinite(value) else None
-    if isinstance(value, (np.integer, np.bool_)):
-        return value.item()
-    return value
-
-
 def write_artifact(out_dir: Path, name: str, payload: dict) -> Path:
     """Write one canonical JSON artifact and log its hash to the index."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = _clean(dict(payload))
+    payload = jsonable(payload)
     payload.pop("sha256", None)
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
@@ -253,20 +240,15 @@ def _ground_payload(cfg: RunConfig, ground: OOVQEResult) -> dict:
     return {
         "command": "ground-state",
         "config": dataclasses.asdict(cfg),
-        "energy": float(ground.energy),
-        "energy_ev": float(ground.energy) * EV_PER_HARTREE,
-        "theta": [float(x) for x in ground.theta],
-        "kappa": [float(x) for x in ground.kappa],
-        "grad_norm": float(ground.grad_norm),
-        "n_iterations": int(ground.n_iterations),
+        "energy": ground.energy,
+        "energy_ev": ground.energy * EV_PER_HARTREE,
+        "theta": ground.theta,
+        "kappa": ground.kappa,
+        "grad_norm": ground.grad_norm,
+        "n_iterations": ground.n_iterations,
         "mapping": ground.ansatz.mapping,
         "n_qubits": ground.ansatz.n_qubits,
-        "space": {
-            "n_orb": ground.space.n_orb,
-            "n_elec": ground.space.n_elec,
-            "active": list(ground.space.active),
-            "n_active_elec": ground.space.n_active_elec,
-        },
+        "space": dataclasses.asdict(ground.space),
     }
 
 
@@ -357,94 +339,59 @@ def cmd_ground_state(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _problem_payload(problem: QLRProblem) -> dict:
-    def block(mat):
-        return None if mat is None else [[float(x) for x in row] for row in mat]
+# The qlr artifact keeps QLRProblem's fields, with these under "matrices".
+_MATRICES = ("a", "b", "sigma", "a_std", "b_std", "sigma_std",
+             "a_std_nc", "b_std_nc", "sigma_std_nc", "delta")
 
-    return {
-        "parametrization": problem.parametrization,
-        "labels": list(problem.labels),
-        "n_qubits": problem.n_qubits,
-        "mode": problem.mode,
-        "shots": problem.shots,
-        "pauli_saving": problem.pauli_saving,
-        "cliques_sampled": problem.cliques_sampled,
-        "matrices": {
-            "a": block(problem.a),
-            "b": block(problem.b),
-            "sigma": block(problem.sigma),
-            "a_std": block(problem.a_std),
-            "b_std": block(problem.b_std),
-            "sigma_std": block(problem.sigma_std),
-            "a_std_nc": block(problem.a_std_nc),
-            "b_std_nc": block(problem.b_std_nc),
-            "sigma_std_nc": block(problem.sigma_std_nc),
-            "delta": block(problem.delta),
-        },
-    }
+
+def _problem_payload(problem: QLRProblem) -> dict:
+    payload = dataclasses.asdict(problem)
+    payload["matrices"] = {key: payload.pop(key) for key in _MATRICES}
+    return payload
 
 
 def _solution_payload(solution: QLRSolution) -> dict:
     vectors = solution.vectors
-    payload = {
-        "omega": [float(x) for x in solution.omega],
-        "omega_ev": [float(x) for x in solution.omega_ev],
-        "vectors_real": [[float(x) for x in row] for row in vectors.real],
-        "vectors_imag": None,
-        "norms_ok": [bool(x) for x in solution.norms_ok],
-        "hessian_eigs": [float(x) for x in solution.hessian_eigs],
-        "valid": bool(solution.valid),
-        "f": None if solution.f is None else [float(x) for x in solution.f],
+    return {
+        "omega": solution.omega,
+        "omega_ev": solution.omega_ev,
+        "vectors_real": vectors.real,
+        "vectors_imag": vectors.imag if np.iscomplexobj(vectors) else None,
+        "norms_ok": solution.norms_ok,
+        "hessian_eigs": solution.hessian_eigs,
+        "valid": solution.valid,
+        "f": solution.f,
     }
-    if np.iscomplexobj(vectors):
-        payload["vectors_imag"] = [[float(x) for x in row] for row in vectors.imag]
-    return payload
+
+
+def _array(data) -> np.ndarray | None:
+    """Read a stored array back; a None entry (non-finite on write) is NaN."""
+    return None if data is None else np.asarray(data, dtype=float)
 
 
 def _rebuild_problem(artifact: dict) -> QLRProblem:
-    mats = artifact["matrices"]
-
-    def block(key):
-        data = mats[key]
-        return None if data is None else np.asarray(data, dtype=float)
-
-    return QLRProblem(
-        parametrization=artifact["parametrization"],
-        labels=list(artifact["labels"]),
-        a=block("a"),
-        b=block("b"),
-        sigma=block("sigma"),
-        a_std=block("a_std"),
-        b_std=block("b_std"),
-        sigma_std=block("sigma_std"),
-        a_std_nc=block("a_std_nc"),
-        b_std_nc=block("b_std_nc"),
-        sigma_std_nc=block("sigma_std_nc"),
-        delta=block("delta"),
-        mode=artifact["mode"],
-        shots=artifact["shots"],
-        pauli_saving=artifact["pauli_saving"],
-        n_qubits=artifact["n_qubits"],
-        cliques_sampled=artifact["cliques_sampled"],
-    )
+    scalars = {
+        field.name: artifact[field.name]
+        for field in dataclasses.fields(QLRProblem)
+        if field.name not in _MATRICES
+    }
+    matrices = {key: _array(artifact["matrices"][key]) for key in _MATRICES}
+    return QLRProblem(**scalars, **matrices)
 
 
 def _rebuild_solution(artifact: dict, problem: QLRProblem) -> QLRSolution:
     sol = artifact["solution"]
-    vectors = np.asarray(sol["vectors_real"], dtype=float)
+    vectors = _array(sol["vectors_real"])
     if sol["vectors_imag"] is not None:
-        vectors = vectors + 1j * np.asarray(sol["vectors_imag"], dtype=float)
-    to_float = lambda xs: np.array(
-        [np.nan if x is None else float(x) for x in xs], dtype=float
-    )
+        vectors = vectors + 1j * _array(sol["vectors_imag"])
     return QLRSolution(
         problem=problem,
-        omega=to_float(sol["omega"]),
+        omega=_array(sol["omega"]),
         vectors=vectors,
         norms_ok=np.asarray(sol["norms_ok"], dtype=bool),
-        hessian_eigs=to_float(sol["hessian_eigs"]),
-        valid=bool(sol["valid"]),
-        f=None if sol["f"] is None else to_float(sol["f"]),
+        hessian_eigs=_array(sol["hessian_eigs"]),
+        valid=sol["valid"],
+        f=_array(sol["f"]),
     )
 
 
@@ -512,20 +459,14 @@ def cmd_qlr(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _campaign_payload(cfg: RunConfig, result) -> dict:
+def _campaign_payload(result) -> dict:
     payload = result.to_json_dict()
-    if result.runs < 2:
+    payload["low_statistics"] = result.runs < 2
+    if payload["low_statistics"]:
         count = 0 if result.sigma_k is None else len(result.sigma_k)
         payload["sigma_k"] = [0.0] * count
-        payload["low_statistics"] = True
-    else:
-        payload["low_statistics"] = False
     payload["per_run"] = [
-        {
-            "valid": bool(valid),
-            "n_states": sol.n_states,
-            "omega": [float(x) for x in sol.omega],
-        }
+        {"valid": valid, "n_states": sol.n_states, "omega": sol.omega}
         for sol, valid in zip(result.solutions, result.valid)
     ]
     return payload
@@ -569,7 +510,7 @@ def cmd_campaign(cfg: RunConfig) -> int:
             mitigator=mitigator,
             master_seed=cfg.seed,
         )
-        campaigns["ps_on" if saving else "ps_off"] = _campaign_payload(cfg, result)
+        campaigns["ps_on" if saving else "ps_off"] = _campaign_payload(result)
     payload = {
         "command": "campaign",
         "config": dataclasses.asdict(cfg),

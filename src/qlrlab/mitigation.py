@@ -36,9 +36,10 @@ class ConfusionMatrix:
     """Column-stochastic map from prepared to measured bitstring distributions.
 
     ``matrix[j, i]`` is the probability of reading bitstring ``j`` after
-    preparing basis state ``i``. ``kind`` records how the preparation
-    circuits were built: plain bit flips (``readout``) or bit flips
+    preparing basis state ``i``. ``kind`` records which preparation circuits
+    the columns stand for: plain bit flips (``readout``) or bit flips
     followed by the zero-parameter ansatz circuit (``ansatz_based``).
+    Under ``NoiseModel``, which has no gate noise, the two kinds coincide.
     """
 
     n_qubits: int
@@ -94,11 +95,14 @@ def build_confusion(
 ) -> ConfusionMatrix:
     """Characterize the classical noise channel column by column.
 
-    Each basis state is prepared by bit flips on the all-zeros register
-    (plus the zero-parameter ansatz circuit for ``ansatz_based``), pushed
-    through ``noise``, and recorded as one column. With ``shots=None`` the
-    columns are the analytic channel; otherwise each column is a
-    multinomial sample of ``shots`` outcomes.
+    Each basis state is prepared by bit flips on the all-zeros register,
+    pushed through ``noise``, and recorded as one column. With
+    ``shots=None`` the columns are the analytic channel; otherwise each
+    column is a multinomial sample of ``shots`` outcomes.
+
+    ``ansatz_based`` adds the zero-parameter ansatz circuit, which is the
+    identity; ``NoiseModel`` has no gate noise, so both kinds build the
+    same columns, and ``ansatz_based`` only checks the ansatz it is given.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown confusion kind {kind!r}")
@@ -112,15 +116,10 @@ def build_confusion(
     if shots is not None and rng is None:
         rng = np.random.default_rng(0)
     dim = 1 << n_qubits
-    zero_theta = None if ansatz is None else np.zeros(ansatz.n_parameters)
     matrix = np.empty((dim, dim))
     for prepared in range(dim):
-        amplitudes = np.zeros(dim, dtype=complex)
-        amplitudes[prepared] = 1.0
-        if kind == "ansatz_based":
-            for k in range(ansatz.n_parameters):
-                amplitudes = ansatz._apply_unitary(amplitudes, k, zero_theta[k])
-        probs = np.abs(amplitudes) ** 2
+        probs = np.zeros(dim)
+        probs[prepared] = 1.0
         if noise is not None:
             probs = noise.apply(probs)
         if shots is not None:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .pauli_core import PauliSum
-from .qlr_engine import QLRProblem, QLRSolution, ResponseBuilder, solve
-from .sim_engine import Statevector, exact_expectation
+from . import jsonable
+from .qlr_engine import QLRProblem, QLRSolution, ResponseBuilder, response_blocks, solve
+from .sim_engine import Statevector, bernoulli_variance, exact_expectation
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +44,7 @@ def pauli_std(coeff: complex, p1: float) -> float:
     if re_c2 < 0.0:
         logger.debug("clamping negative Re{c^2}=%g to zero variance", re_c2)
         return 0.0
-    return math.sqrt(4.0 * re_c2 * max(p1 - p1 * p1, 0.0))
+    return math.sqrt(4.0 * re_c2 * bernoulli_variance(p1))
 
 
 def operator_std(op: PauliSum, state: Statevector) -> float:
@@ -127,25 +128,21 @@ class MetricsReport:
         return out
 
     def to_json_dict(self) -> dict:
-        out: dict = {"matrices": {}}
-        for key, mm in self.matrices.items():
-            out["matrices"][key] = {
-                "std": mm.std,
-                "std_nc": mm.std_nc,
-                "cv": None if not np.isfinite(mm.cv) else mm.cv,
+        matrices = {
+            key: {
+                **asdict(mm),
                 "cv_token": metric_token(mm.cv),
-                "cv_excluded": mm.cv_excluded,
-                "cond": None if not np.isfinite(mm.cond) else mm.cond,
                 "cond_token": metric_token(mm.cond),
-                "row_std": [float(x) for x in mm.row_std],
             }
-        out["cond_E2"] = None if not np.isfinite(self.cond_e2) else self.cond_e2
-        out["cond_E2_token"] = metric_token(self.cond_e2)
-        out["cond_S2invE2"] = (
-            None if not np.isfinite(self.cond_response) else self.cond_response
-        )
-        out["cond_S2invE2_token"] = metric_token(self.cond_response)
-        return out
+            for key, mm in self.matrices.items()
+        }
+        return jsonable({
+            "matrices": matrices,
+            "cond_E2": self.cond_e2,
+            "cond_E2_token": metric_token(self.cond_e2),
+            "cond_S2invE2": self.cond_response,
+            "cond_S2invE2_token": metric_token(self.cond_response),
+        })
 
 
 def _cv(mean: np.ndarray, std: np.ndarray) -> tuple[float, int]:
@@ -158,7 +155,6 @@ def _cv(mean: np.ndarray, std: np.ndarray) -> tuple[float, int]:
 
 def matrix_metrics(problem: QLRProblem) -> MetricsReport:
     """Aggregate the per-element spread estimates of one problem."""
-    n = problem.size
     blocks = {
         "A": (problem.a, problem.a_std, problem.a_std_nc),
         "B": (problem.b, problem.b_std, problem.b_std_nc),
@@ -175,9 +171,7 @@ def matrix_metrics(problem: QLRProblem) -> MetricsReport:
             cond=_condition_number(mean),
             row_std=np.mean(std, axis=1),
         )
-    delta = problem.delta if problem.delta is not None else np.zeros((n, n))
-    e2 = np.block([[problem.a, problem.b], [problem.b, problem.a]])
-    s2 = np.block([[problem.sigma, delta], [-delta, -problem.sigma]])
+    e2, s2 = response_blocks(problem)
     cond_e2 = _condition_number(e2)
     try:
         response = np.linalg.solve(s2, e2)
@@ -236,24 +230,19 @@ class CampaignResult:
         return int(self.valid.sum())
 
     def to_json_dict(self) -> dict:
-        def clean(arr):
-            if arr is None:
-                return None
-            return [None if not np.isfinite(x) else float(x) for x in arr]
-
         omega_mean = None
         if self.omegas is not None and self.omegas.size:
-            omega_mean = clean(self.omegas.mean(axis=0))
-        return {
+            omega_mean = self.omegas.mean(axis=0)
+        return jsonable({
             "runs": self.runs,
             "shots": self.shots,
             "pauli_saving": self.pauli_saving,
             "master_seed": self.master_seed,
             "n_valid": self.n_valid,
             "failure_fraction": self.failure_fraction,
-            "sigma_k": clean(self.sigma_k),
+            "sigma_k": self.sigma_k,
             "omega_mean": omega_mean,
-        }
+        })
 
 
 def run_campaign(

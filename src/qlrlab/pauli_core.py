@@ -351,12 +351,6 @@ class FermionPolynomial:
                 m = max(m, mode)
         return m
 
-    def modes(self) -> set[int]:
-        out: set[int] = set()
-        for ops in self._terms:
-            out.update(mode for mode, _ in ops)
-        return out
-
     def __repr__(self) -> str:
         parts = []
         for ops, c in self.items():

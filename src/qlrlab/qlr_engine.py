@@ -48,6 +48,7 @@ from .sim_engine import (
     REAL_COEFF_TOL,
     MeasurementCache,
     OOVQEResult,
+    bernoulli_variance,
     parity_means,
     pauli_action,
 )
@@ -584,7 +585,7 @@ class _ReplayLayout:
         pair_terms = weights[self.entry_slot] * self.entry_coeff
         effective = np.bincount(self.entry_pair, pair_terms, len(self.pair_element))
         p1 = 0.5 * (1.0 - means)
-        spread = np.maximum(p1 - p1 * p1, 0.0)[self.pair_reading]
+        spread = bernoulli_variance(p1)[self.pair_reading]
         var = np.bincount(self.pair_element, 4.0 * effective**2 * spread, n_elements)
         var_nc = np.bincount(self.pair_element, 4.0 * spread, n_elements)
         # (value, var, var_nc) x (A, B, S) element vectors, then matrices.
@@ -921,39 +922,14 @@ class ResponseBuilder:
         return f
 
 
-def build_matrices(
-    ground: OOVQEResult,
-    parametrization: str,
-    mode: str = "exact",
-    shots: int | None = None,
-    master_seed: int = 0,
-    run_id: int = 0,
-    noise=None,
-    mitigator=None,
-    pauli_saving: bool = True,
-    builder: ResponseBuilder | None = None,
-) -> QLRProblem:
-    """Compile and evaluate the response matrices in one call.
-
-    Passing an existing builder skips recompilation, which is how
-    repeated sampled runs over the same ground state should be driven.
-    """
-    if builder is None:
-        builder = ResponseBuilder(ground, parametrization)
-    if mode == "exact":
-        return builder.evaluate_exact()
-    if mode == "sampled":
-        if shots is None:
-            raise ValueError("sampled mode requires a shot count")
-        return builder.evaluate_sampled(
-            shots,
-            master_seed=master_seed,
-            run_id=run_id,
-            noise=noise,
-            mitigator=mitigator,
-            pauli_saving=pauli_saving,
-        )
-    raise ValueError(f"unknown mode: {mode!r}")
+def response_blocks(problem: QLRProblem) -> tuple[np.ndarray, np.ndarray]:
+    """E2 = [[A, B], [B*, A*]] and S2 = [[Σ, Δ], [−Δ*, −Σ*]]; a missing Δ is zero."""
+    a, b, sigma, delta = problem.a, problem.b, problem.sigma, problem.delta
+    if delta is None:
+        delta = np.zeros_like(sigma)
+    e2 = np.block([[a, b], [b.conj(), a.conj()]])
+    s2 = np.block([[sigma, delta], [-delta.conj(), -sigma.conj()]])
+    return e2, s2
 
 
 def solve(problem: QLRProblem, zero_tol: float = 1e-10) -> QLRSolution:
@@ -965,11 +941,7 @@ def solve(problem: QLRProblem, zero_tol: float = 1e-10) -> QLRSolution:
     The solution is flagged invalid when the symmetrized electronic
     Hessian has a negative eigenvalue.
     """
-    n = problem.size
-    a, b, sigma = problem.a, problem.b, problem.sigma
-    delta = problem.delta if problem.delta is not None else np.zeros((n, n))
-    e2 = np.block([[a, b], [b.conj(), a.conj()]])
-    s2 = np.block([[sigma, delta], [-delta.conj(), -sigma.conj()]])
+    e2, s2 = response_blocks(problem)
     hessian_eigs = np.linalg.eigvalsh(0.5 * (e2 + e2.conj().T))
     valid = bool(hessian_eigs.min() >= 0.0)
     eigvals, eigvecs = scipy.linalg.eig(e2, s2)

@@ -375,6 +375,15 @@ def parity_means(hists: np.ndarray) -> np.ndarray:
     return out
 
 
+def bernoulli_variance(p1):
+    """Bernoulli variance p₁ − p₁² of a 0/1 outcome with P(1) = p₁, clamped at zero.
+
+    Elementwise; a Pauli string with coefficient c has single-shot variance
+    4·c²·bernoulli_variance(p₁).
+    """
+    return np.maximum(p1 - p1 * p1, 0.0)
+
+
 class MeasurementCache:
     """One sampled run: its settings and its clique histograms, in draw order.
 
@@ -471,7 +480,7 @@ def sampled_expectation(
         mean = means[cover.member_index[string], mask]
         p1 = 0.5 * (1.0 - mean)
         value += coeff.real * mean
-        variance += max(4.0 * (coeff * coeff).real, 0.0) * max(p1 - p1 * p1, 0.0)
+        variance += max(4.0 * (coeff * coeff).real, 0.0) * bernoulli_variance(p1)
     return value, float(np.sqrt(variance / cache.shots))
 
 

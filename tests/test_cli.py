@@ -1,5 +1,6 @@
 """Command-line workflow: artifacts, config layering, exit codes, reruns."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -8,8 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlrlab.cli import main
+from qlrlab import jsonable
+from qlrlab.cli import (
+    _problem_payload,
+    _rebuild_problem,
+    _rebuild_solution,
+    _solution_payload,
+    main,
+)
 from qlrlab.mitigation import read_confusion_csv
+from qlrlab.qlr_engine import QLRProblem, QLRSolution, ResponseBuilder, solve
 from qlrlab.sim_engine import ConvergenceError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,6 +131,47 @@ def test_qlr_proj_equals_allproj(exact_artifacts):
         allproj["solution"]["omega"], abs=1e-9
     )
     assert np.abs(np.asarray(proj["matrices"]["b"])).max() <= 1e-12
+
+
+def _same(stored, rebuilt):
+    if not isinstance(stored, np.ndarray):
+        return stored == rebuilt
+    return (
+        isinstance(rebuilt, np.ndarray)
+        and stored.dtype == rebuilt.dtype
+        and np.array_equal(stored, rebuilt, equal_nan=True)
+    )
+
+
+def test_qlr_payloads_round_trip_through_json_text(h2_ground):
+    builder = ResponseBuilder(h2_ground, "allproj")
+    problem = builder.evaluate_sampled(500, master_seed=2)
+    assert problem.delta is None
+    a_std = problem.a_std.copy()
+    a_std[0, 0] = np.nan  # stored as null, read back as NaN
+    problem = dataclasses.replace(problem, a_std=a_std)
+    solution = solve(problem)
+    assert solution.n_states == 2
+    complex_vectors = solution.vectors * np.exp(0.3j)
+    variants = [
+        dataclasses.replace(solution, f=np.array([0.25, np.nan])),
+        dataclasses.replace(solution, f=None),
+        dataclasses.replace(solution, vectors=complex_vectors, f=np.array([1.0, 2.0])),
+    ]
+    for original in variants:
+        payload = _problem_payload(problem)
+        payload["solution"] = _solution_payload(original)
+        artifact = json.loads(json.dumps(jsonable(payload), allow_nan=False))
+        rebuilt_problem = _rebuild_problem(artifact)
+        rebuilt = _rebuild_solution(artifact, rebuilt_problem)
+        for field in dataclasses.fields(QLRProblem):
+            name = field.name
+            assert _same(getattr(problem, name), getattr(rebuilt_problem, name)), name
+        for field in dataclasses.fields(QLRSolution):
+            if field.name != "problem":
+                name = field.name
+                assert _same(getattr(original, name), getattr(rebuilt, name)), name
+    assert np.iscomplexobj(rebuilt.vectors)
 
 
 def test_qlr_requires_ground_artifact(tmp_path):

@@ -55,7 +55,12 @@ def test_ansatz_based_at_zero_angles_matches_readout():
     plain = build_confusion(2, noise=noise)
     dressed = build_confusion(2, kind="ansatz_based", ansatz=ansatz, noise=noise)
     assert dressed.kind == "ansatz_based"
-    assert np.allclose(dressed.matrix, plain.matrix, atol=1e-12)
+    assert np.array_equal(dressed.matrix, plain.matrix)
+    plain = build_confusion(2, noise=noise, shots=500, rng=np.random.default_rng(9))
+    dressed = build_confusion(
+        2, "ansatz_based", ansatz, noise, shots=500, rng=np.random.default_rng(9)
+    )
+    assert np.array_equal(dressed.matrix, plain.matrix)
 
 
 def test_sampled_build_is_stochastic_and_close():

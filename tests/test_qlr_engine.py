@@ -15,7 +15,6 @@ from qlrlab.qlr_engine import (
     QLRProblem,
     QLRSolution,
     ResponseBuilder,
-    build_matrices,
     build_operator_basis,
     solve,
     spectrum,
@@ -496,15 +495,6 @@ def test_sampled_converges_to_exact(h2_builders):
     sampled = builder.evaluate_sampled(200_000, master_seed=3)
     scale = np.maximum(sampled.a_std, 1e-12)
     assert np.all(np.abs(sampled.a - exact.a) <= 6.0 * scale + 1e-9)
-
-
-def test_build_matrices_dispatch(h2_ground, h2_builders):
-    problem = build_matrices(h2_ground, "naive", builder=h2_builders["naive"])
-    assert problem.mode == "exact"
-    with pytest.raises(ValueError, match="shot count"):
-        build_matrices(h2_ground, "naive", mode="sampled", builder=h2_builders["naive"])
-    with pytest.raises(ValueError, match="unknown mode"):
-        build_matrices(h2_ground, "naive", mode="fuzzy", builder=h2_builders["naive"])
 
 
 def test_sampled_rejects_cache_of_another_state(h2_ground, h2_builders):

@@ -9,6 +9,7 @@ entries, one file per Cartesian axis with suffixes .dx/.dy/.dz.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,10 +77,6 @@ class ActiveSpace:
     @classmethod
     def full(cls, n_orb: int, n_elec: int) -> "ActiveSpace":
         return cls(n_orb, n_elec, tuple(range(n_orb)), n_elec)
-
-    @property
-    def n_inactive(self) -> int:
-        return (self.n_elec - self.n_active_elec) // 2
 
     @property
     def inactive(self) -> tuple[int, ...]:
@@ -357,6 +354,19 @@ def kappa_matrix(space: ActiveSpace, values) -> np.ndarray:
     return mat
 
 
+_ROTATE_G = "pa,qb,rc,sd,pqrs->abcd"
+
+
+@functools.cache
+def _rotate_g_path(n_orb: int) -> list:
+    """The greedy contraction path that ``optimize=True`` plans for _ROTATE_G.
+
+    It depends only on the orbital count, so it is planned once per count.
+    """
+    rot, g = np.empty((n_orb, n_orb)), np.empty((n_orb,) * 4)
+    return np.einsum_path(_ROTATE_G, rot, rot, rot, rot, g, optimize="greedy")[0]
+
+
 def rotate_integrals(system: MolecularSystem, kappa: np.ndarray) -> MolecularSystem:
     """Transform all integrals by the orthogonal rotation exp(kappa).
 
@@ -369,7 +379,9 @@ def rotate_integrals(system: MolecularSystem, kappa: np.ndarray) -> MolecularSys
         raise ValueError("kappa must be antisymmetric")
     rot = scipy.linalg.expm(kappa)
     h = rot.T @ system.h @ rot
-    g = np.einsum("pa,qb,rc,sd,pqrs->abcd", rot, rot, rot, rot, system.g, optimize=True)
+    g = np.einsum(
+        _ROTATE_G, rot, rot, rot, rot, system.g, optimize=_rotate_g_path(system.n_orb)
+    )
     dipole = {axis: rot.T @ mat @ rot for axis, mat in system.dipole.items()}
     return MolecularSystem(
         n_orb=system.n_orb,

@@ -174,9 +174,10 @@ def _parse_active(cfg: RunConfig, system: MolecularSystem) -> ActiveSpace:
             EXIT_VALIDATION,
             f'cannot parse active space {cfg.active!r}; expected "n_elec:orb,orb"',
         ) from None
-    if any(o < 0 or o >= system.n_orb for o in orbitals):
-        raise _fail(EXIT_VALIDATION, "active orbital index out of range")
-    return ActiveSpace(system.n_orb, system.n_elec, orbitals, n_active_elec)
+    try:
+        return ActiveSpace(system.n_orb, system.n_elec, orbitals, n_active_elec)
+    except ValueError as exc:
+        raise _fail(EXIT_VALIDATION, f"invalid active space {cfg.active!r}: {exc}") from None
 
 
 def _load_system(cfg: RunConfig) -> tuple[MolecularSystem, ActiveSpace]:

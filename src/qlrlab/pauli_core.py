@@ -3,8 +3,7 @@
 Conventions used throughout the package:
 
 * A Pauli string is a plain ``str`` over the alphabet ``IXYZ`` whose
-  character ``i`` acts on qubit ``i`` (qubit 0 first).  Human readable
-  labels are rendered with qubit 0 rightmost, see :func:`label`.
+  character ``i`` acts on qubit ``i`` (qubit 0 first).
 * Spin orbitals are interleaved, ``mode = 2 * orbital + spin`` with
   ``spin = 0`` for alpha and ``1`` for beta, and fermionic mode ``m`` is
   carried by qubit ``m``.
@@ -33,28 +32,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DROP_TOLERANCE = 1e-12
 
-_AXES = "IXYZ"
-
-# Single qubit products (a, b) -> (phase, axis) for a * b.
-_SINGLE_PRODUCT = {
-    ("I", "I"): (1.0, "I"),
-    ("I", "X"): (1.0, "X"),
-    ("I", "Y"): (1.0, "Y"),
-    ("I", "Z"): (1.0, "Z"),
-    ("X", "I"): (1.0, "X"),
-    ("Y", "I"): (1.0, "Y"),
-    ("Z", "I"): (1.0, "Z"),
-    ("X", "X"): (1.0, "I"),
-    ("Y", "Y"): (1.0, "I"),
-    ("Z", "Z"): (1.0, "I"),
-    ("X", "Y"): (1.0j, "Z"),
-    ("Y", "X"): (-1.0j, "Z"),
-    ("Y", "Z"): (1.0j, "X"),
-    ("Z", "Y"): (-1.0j, "X"),
-    ("Z", "X"): (1.0j, "Y"),
-    ("X", "Z"): (-1.0j, "Y"),
-}
-
 
 class PauliTerm(NamedTuple):
     """A single Pauli string with its complex coefficient."""
@@ -63,39 +40,8 @@ class PauliTerm(NamedTuple):
     coeff: complex
 
 
-def label(string: str) -> str:
-    """Render a Pauli string with qubit 0 as the rightmost character."""
-    return string[::-1]
-
-
 def identity_string(n_qubits: int) -> str:
     return "I" * n_qubits
-
-
-def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Multiply two Pauli terms, folding the algebraic phase into the coefficient.
-
-    Args:
-        a: Left factor.
-        b: Right factor acting first on kets (standard operator product a*b).
-
-    Returns:
-        The product term with phase-correct coefficient.
-
-    Raises:
-        ValueError: If the two strings act on different register sizes.
-    """
-    if len(a.string) != len(b.string):
-        raise ValueError(
-            f"Pauli string lengths differ: {len(a.string)} != {len(b.string)}"
-        )
-    phase = a.coeff * b.coeff
-    out = []
-    for ca, cb in zip(a.string, b.string):
-        p, axis = _SINGLE_PRODUCT[(ca, cb)]
-        phase *= p
-        out.append(axis)
-    return PauliTerm("".join(out), phase)
 
 
 def qubitwise_commutes(a: str, b: str) -> bool:
@@ -165,23 +111,9 @@ class PauliSum:
             out.add_term(s, c)
         return out
 
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar: complex) -> "PauliSum":
-        if abs(scalar) <= DROP_TOLERANCE:
-            return PauliSum(self.n_qubits)
-        return PauliSum(self.n_qubits, {s: c * scalar for s, c in self._coeffs.items()})
-
-    __rmul__ = __mul__
-
     def dagger(self) -> "PauliSum":
         """Hermitian adjoint: conjugate every coefficient (strings are Hermitian)."""
         return PauliSum(self.n_qubits, {s: c.conjugate() for s, c in self._coeffs.items()})
-
-    def __repr__(self) -> str:
-        parts = [f"({c:+.6g})*{label(s)}" for s, c in sorted(self._coeffs.items())]
-        return " + ".join(parts) if parts else "0"
 
 
 @dataclass
@@ -351,13 +283,6 @@ class FermionPolynomial:
                 m = max(m, mode)
         return m
 
-    def __repr__(self) -> str:
-        parts = []
-        for ops, c in self.items():
-            sym = " ".join(f"a{m}{'+' if cr else ''}" for m, cr in ops) or "1"
-            parts.append(f"({c:+.6g})*[{sym}]")
-        return " + ".join(parts) if parts else "0"
-
 
 def spin_mode(orbital: int, spin: int) -> int:
     """Interleaved spin orbital index: alpha of orbital p is 2p, beta is 2p+1."""
@@ -370,10 +295,6 @@ def e_pq(p: int, q: int) -> FermionPolynomial:
     for spin in (0, 1):
         out.add_term(((spin_mode(p, spin), True), (spin_mode(q, spin), False)), 1.0)
     return out
-
-
-def commutator(a: FermionPolynomial, b: FermionPolynomial) -> FermionPolynomial:
-    return a * b - b * a
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,16 @@ index. All sampling is driven by ``numpy.random.SeedSequence`` spawn keys
 (see ``MeasurementCache``), so campaigns are reproducible and
 embarrassingly parallel.
 
+Statevector kernels read Pauli strings through a ``PauliTable``: per string
+the x mask (bit q set for X or Y on qubit q), the z mask (Y or Z) and the
+phase i^{n_Y}, so a string is i^{n_Y}·X^x·Z^z with Y = iXZ, plus the
+permutation ``idx ^ x`` and phase row it applies to a register. The object
+that owns a string set builds its table once: ``TUCCSDAnsatz`` for its
+factor strings (forward sweeps and the reverse sweep's generators),
+``CompiledActiveMap`` for its Hamiltonian strings (expectations and H|ψ⟩).
+One-off callers go through ``pauli_action``, a one-row table; nothing
+caches tables by string.
+
 Measured values only ever use the real part of Pauli coefficients; strings
 whose coefficient has no real part carry no signal for real-valued targets
 and are neither measured nor counted.
@@ -52,41 +62,82 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    """Bit parity of each entry of an integer array."""
-    v = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
+def _parity(values: np.ndarray, n_bits: int) -> np.ndarray:
+    """Bit parity of each entry of an integer array with entries below 2**n_bits."""
+    for k in reversed(range((n_bits - 1).bit_length())):
+        values = values ^ (values >> (1 << k))
+    return values & 1
+
+
+class PauliTable:
+    """Mask form of a list of Pauli strings, with each string's action built once.
+
+    Row ``r`` holds string ``r`` as its x mask (X or Y), z mask (Y or Z)
+    and phase i^{n_Y}, so P_r|b⟩ = i^{n_Y}·(-1)^{|b & z|}·|b ^ x⟩ (Y = iXZ).
+    For the register it also holds the permutation ``idx ^ x`` and the
+    phase row i^{n_Y}·(-1)^{|idx & z|}: 24 bytes per string and amplitude.
+    The object that owns a string set builds its table once.
+    """
+
+    def __init__(self, strings, n_qubits: int | None = None):
+        self.strings = list(strings)
+        self.n_qubits = len(self.strings[0]) if n_qubits is None else n_qubits
+        x, z, phase = [], [], []
+        for string in self.strings:
+            if len(string) != self.n_qubits:
+                raise ValueError("Pauli string length does not match the register")
+            x.append(sum(1 << q for q, c in enumerate(string) if c in "XY"))
+            z.append(sum(1 << q for q, c in enumerate(string) if c in "YZ"))
+            phase.append(1j ** string.count("Y"))
+        self.is_identity = [(xr | zr) == 0 for xr, zr in zip(x, z)]
+        self.x = np.array(x, dtype=np.int64)
+        self.z = np.array(z, dtype=np.int64)
+        self.phase = np.array(phase, dtype=complex)
+        idx = np.arange(1 << self.n_qubits)
+        self.perm = idx ^ self.x[:, None]
+        parity = _parity(idx & self.z[:, None], self.n_qubits)
+        self.phases = self.phase[:, None] * (1 - 2 * parity)
+
+    def act(self, row: int, amplitudes: np.ndarray) -> np.ndarray:
+        """P_row applied to an amplitude vector (unit coefficient)."""
+        return (self.phases[row] * amplitudes)[self.perm[row]]
+
+    def exp_act(self, row: int, amplitudes: np.ndarray, angle: float) -> np.ndarray:
+        """exp(i * angle * P_row) applied to an amplitude vector."""
+        return np.cos(angle) * amplitudes + 1j * np.sin(angle) * self.act(row, amplitudes)
+
+    def expectations(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Re⟨ψ|P_r|ψ⟩ of every row; identity rows read exactly 1."""
+        out = np.empty(len(self.strings))
+        for row, identity in enumerate(self.is_identity):
+            if identity:
+                out[row] = 1.0
+            else:
+                out[row] = np.vdot(amplitudes, self.act(row, amplitudes)).real
+        return out
+
+    def combine(self, coeffs, amplitudes: np.ndarray) -> np.ndarray:
+        """Σ_r c_r P_r|ψ⟩, summed in row order."""
+        out = np.zeros_like(amplitudes)
+        for row, (coeff, identity) in enumerate(zip(coeffs, self.is_identity)):
+            out += coeff * (amplitudes if identity else self.act(row, amplitudes))
+        return out
+
+
+def _one_row(amplitudes: np.ndarray, string: str) -> PauliTable:
+    if len(amplitudes) != 1 << len(string):
+        raise ValueError("state and Pauli string sizes differ")
+    return PauliTable([string])
 
 
 def pauli_action(amplitudes: np.ndarray, string: str) -> np.ndarray:
     """Apply a Pauli string (unit coefficient) to an amplitude vector."""
-    n = len(string)
-    if len(amplitudes) != 1 << n:
-        raise ValueError("state and Pauli string sizes differ")
-    xmask = 0
-    signmask = 0
-    n_y = 0
-    for qubit, char in enumerate(string):
-        if char in "XY":
-            xmask |= 1 << qubit
-        if char in "YZ":
-            signmask |= 1 << qubit
-        if char == "Y":
-            n_y += 1
-    idx = np.arange(len(amplitudes))
-    phases = (1j**n_y) * (1 - 2 * _parity(idx & signmask))
-    out = np.empty_like(amplitudes)
-    out[idx ^ xmask] = phases * amplitudes
-    return out
+    return _one_row(amplitudes, string).act(0, amplitudes)
 
 
 def apply_exp_pauli(amplitudes: np.ndarray, string: str, angle: float) -> np.ndarray:
     """Apply exp(i * angle * P) for a Pauli string P."""
-    return np.cos(angle) * amplitudes + 1j * np.sin(angle) * pauli_action(
-        amplitudes, string
-    )
+    return _one_row(amplitudes, string).exp_act(0, amplitudes, angle)
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -117,9 +168,6 @@ class Statevector:
         amps = np.zeros(1 << n_qubits, dtype=complex)
         amps[bits] = 1.0
         return cls(n_qubits, amps)
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -241,6 +289,15 @@ class TUCCSDAnsatz:
                             ((i, True), (j, True), (b, False), (a, False)), -1.0
                         )
                         self._add("double", (i, j, a, b), gen)
+        # One table row per factor; _steps[k] pairs excitation k's rows with
+        # their angle weights, in application order.
+        strings: list[str] = []
+        self._steps: list[tuple[tuple[int, float], ...]] = []
+        for exc in self.excitations:
+            rows = range(len(strings), len(strings) + len(exc.factors))
+            self._steps.append(tuple(zip(rows, (gamma for _, gamma in exc.factors))))
+            strings.extend(string for string, _ in exc.factors)
+        self.table = PauliTable(strings, self.n_qubits)
         occupations = [1 if m < n_elec else 0 for m in range(self.n_qubits)]
         if mapping == "parity":
             occupations = parity_transform_bits(occupations)
@@ -262,14 +319,20 @@ class TUCCSDAnsatz:
     def _apply_unitary(
         self, amplitudes: np.ndarray, k: int, theta_k: float, dagger: bool = False
     ) -> np.ndarray:
-        factors = self.excitations[k].factors
         if dagger:
-            for string, gamma in reversed(factors):
-                amplitudes = apply_exp_pauli(amplitudes, string, -theta_k * gamma)
+            for row, gamma in reversed(self._steps[k]):
+                amplitudes = self.table.exp_act(row, amplitudes, -theta_k * gamma)
         else:
-            for string, gamma in factors:
-                amplitudes = apply_exp_pauli(amplitudes, string, theta_k * gamma)
+            for row, gamma in self._steps[k]:
+                amplitudes = self.table.exp_act(row, amplitudes, theta_k * gamma)
         return amplitudes
+
+    def generator_action(self, amplitudes: np.ndarray, k: int) -> np.ndarray:
+        """d/dθ_k of excitation k's factors at θ_k = 0: Σ i·γ·P over its rows."""
+        out = np.zeros_like(amplitudes)
+        for row, gamma in self._steps[k]:
+            out += 1j * gamma * self.table.act(row, amplitudes)
+        return out
 
     def prepare(self, theta) -> Statevector:
         theta = np.asarray(theta, dtype=float)
@@ -551,6 +614,7 @@ class CompiledActiveMap:
         for string_id, term_id, coeff in rows:
             pauli[string_id, term_id] += coeff
         self.strings = list(string_index)
+        self.table = PauliTable(self.strings, self.n_qubits)
         self._coeff_map = pauli @ reduction
 
     def _reduce_slot(self, gen, slot, term_index, entries, shift_entries) -> None:
@@ -572,15 +636,8 @@ class CompiledActiveMap:
 
     def expectations(self, state: Statevector) -> np.ndarray:
         """⟨P_s⟩ for every compiled string (identity included)."""
-        out = np.empty(len(self.strings))
-        for idx, string in enumerate(self.strings):
-            if set(string) == {"I"}:
-                out[idx] = 1.0
-            else:
-                out[idx] = np.vdot(
-                    state.amplitudes, pauli_action(state.amplitudes, string)
-                ).real
-        return out
+        return self.table.expectations(state.amplitudes)
+
 
 @dataclass
 class OOVQEResult:
@@ -597,54 +654,55 @@ class OOVQEResult:
     n_iterations: int
 
 
-def oo_vqe(
-    system: MolecularSystem,
-    space: ActiveSpace,
-    mapping: str = "parity",
-    theta0=None,
-    kappa0=None,
-    gtol: float = 1e-8,
-    maxiter: int = 500,
-) -> OOVQEResult:
-    """Minimize the exact energy over ansatz and orbital-rotation parameters.
+class OOVQEObjective:
+    """oo-VQE energy and its analytic gradient at x = (θ, κ).
 
     Gradients are analytic: a reverse sweep over the ansatz factors for θ
     and Fréchet derivatives of the orbital-rotation exponential for κ.
-    Raises ConvergenceError when the gradient ∞-norm stays above 1e-7.
+    What depends only on the strings and the tensor shapes is built once
+    per run: the ansatz's and the active map's Pauli tables and the κ
+    gradient's contraction paths.
     """
-    ansatz = TUCCSDAnsatz(space.n_active_orb, space.n_active_elec, mapping)
-    amap = CompiledActiveMap(space, mapping)
-    pairs = kappa_pairs(space)
-    n_theta = ansatz.n_parameters
-    theta0 = np.zeros(n_theta) if theta0 is None else np.asarray(theta0, float)
-    kappa0 = np.zeros(len(pairs)) if kappa0 is None else np.asarray(kappa0, float)
-    if len(theta0) != n_theta or len(kappa0) != len(pairs):
-        raise ValueError("initial parameter shapes do not match the problem")
-    x0 = np.concatenate([theta0, kappa0])
-    n = system.n_orb
 
-    def objective(x):
+    # dE/dO takes one contraction per rotated index of g.
+    _KAPPA_SPECS = (
+        "qb,rc,sd,pqrs,abcd->pa",
+        "pa,rc,sd,pqrs,abcd->qb",
+        "pa,qb,sd,pqrs,abcd->rc",
+        "pa,qb,rc,pqrs,abcd->sd",
+    )
+
+    def __init__(self, system: MolecularSystem, space: ActiveSpace, mapping: str = "parity"):
+        self.system = system
+        self.space = space
+        self.ansatz = TUCCSDAnsatz(space.n_active_orb, space.n_active_elec, mapping)
+        self.amap = CompiledActiveMap(space, mapping)
+        self.pairs = kappa_pairs(space)
+        self.n_theta = self.ansatz.n_parameters
+        # The greedy paths that optimize=True would plan on every call.
+        n = system.n_orb
+        rot, g = np.empty((n, n)), np.empty((n, n, n, n))
+        self._kappa_paths = [
+            np.einsum_path(spec, rot, rot, rot, g, g, optimize="greedy")[0]
+            for spec in self._KAPPA_SPECS
+        ]
+
+    def __call__(self, x) -> tuple[float, np.ndarray]:
+        system, ansatz, amap, pairs = self.system, self.ansatz, self.amap, self.pairs
+        n, n_theta = system.n_orb, self.n_theta
         theta, kv = x[:n_theta], x[n_theta:]
-        kmat = kappa_matrix(space, kv)
+        kmat = kappa_matrix(self.space, kv)
         rotated = rotate_integrals(system, kmat)
         shift, coeffs = amap.values(rotated)
         state = ansatz.prepare(theta)
         expect = amap.expectations(state)
         energy = shift + float(coeffs.real @ expect)
         # Reverse sweep for the ansatz gradient.
-        h_amps = np.zeros_like(state.amplitudes)
-        for string, coeff in zip(amap.strings, coeffs):
-            if set(string) == {"I"}:
-                h_amps += coeff * state.amplitudes
-            else:
-                h_amps += coeff * pauli_action(state.amplitudes, string)
         grad_theta = np.zeros(n_theta)
         forward = state.amplitudes
-        backward = h_amps
+        backward = amap.table.combine(coeffs, state.amplitudes)
         for k in range(n_theta - 1, -1, -1):
-            g_forward = np.zeros_like(forward)
-            for string, gamma in ansatz.excitations[k].factors:
-                g_forward += 1j * gamma * pauli_action(forward, string)
+            g_forward = ansatz.generator_action(forward, k)
             grad_theta[k] = 2.0 * np.vdot(backward, g_forward).real
             forward = ansatz._apply_unitary(forward, k, theta[k], dagger=True)
             backward = ansatz._apply_unitary(backward, k, theta[k], dagger=True)
@@ -657,20 +715,36 @@ def oo_vqe(
             w_g = weights[n * n :].reshape(n, n, n, n)
             rot = scipy.linalg.expm(kmat)
             grad_rot = system.h @ rot @ w_h.T + system.h.T @ rot @ w_h
-            for spec in (
-                "qb,rc,sd,pqrs,abcd->pa",
-                "pa,rc,sd,pqrs,abcd->qb",
-                "pa,qb,sd,pqrs,abcd->rc",
-                "pa,qb,rc,pqrs,abcd->sd",
-            ):
-                grad_rot += np.einsum(
-                    spec, rot, rot, rot, system.g, w_g, optimize=True
-                )
+            for spec, path in zip(self._KAPPA_SPECS, self._kappa_paths):
+                grad_rot += np.einsum(spec, rot, rot, rot, system.g, w_g, optimize=path)
             pulled = scipy.linalg.expm_frechet(kmat.T, grad_rot, compute_expm=False)
             for idx, (p, q) in enumerate(pairs):
                 grad_kappa[idx] = pulled[p, q] - pulled[q, p]
         return energy, np.concatenate([grad_theta, grad_kappa])
 
+
+def oo_vqe(
+    system: MolecularSystem,
+    space: ActiveSpace,
+    mapping: str = "parity",
+    theta0=None,
+    kappa0=None,
+    gtol: float = 1e-8,
+    maxiter: int = 500,
+) -> OOVQEResult:
+    """Minimize the exact energy over ansatz and orbital-rotation parameters.
+
+    BFGS on OOVQEObjective, then a root polish of its gradient.
+    Raises ConvergenceError when the gradient ∞-norm stays above 1e-7.
+    """
+    objective = OOVQEObjective(system, space, mapping)
+    ansatz, amap, n_theta = objective.ansatz, objective.amap, objective.n_theta
+    n_kappa = len(objective.pairs)
+    theta0 = np.zeros(n_theta) if theta0 is None else np.asarray(theta0, float)
+    kappa0 = np.zeros(n_kappa) if kappa0 is None else np.asarray(kappa0, float)
+    if len(theta0) != n_theta or len(kappa0) != n_kappa:
+        raise ValueError("initial parameter shapes do not match the problem")
+    x0 = np.concatenate([theta0, kappa0])
     result = scipy.optimize.minimize(
         objective,
         x0,

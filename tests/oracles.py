@@ -17,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from qlrlab.pauli_core import CliqueCover
+from qlrlab.pauli_core import CliqueCover, FermionPolynomial, PauliTerm
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -72,6 +72,21 @@ def dense_fermion(poly, n_modes: int) -> np.ndarray:
     return out
 
 
+def reference_pauli_action(amplitudes: np.ndarray, string: str) -> np.ndarray:
+    """A Pauli string applied string by string, as the package did before its
+    Pauli tables: parse the masks, then scatter the phased amplitudes."""
+    xmask = sum(1 << q for q, c in enumerate(string) if c in "XY")
+    signmask = sum(1 << q for q, c in enumerate(string) if c in "YZ")
+    idx = np.arange(len(amplitudes))
+    parity = idx & signmask
+    for shift in (32, 16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    phases = (1j ** string.count("Y")) * (1 - 2 * (parity & 1))
+    out = np.empty_like(amplitudes)
+    out[idx ^ xmask] = phases * amplitudes
+    return out
+
+
 def parity_permutation(n_modes: int) -> np.ndarray:
     """Permutation matrix sending occupation basis states to parity-encoded ones."""
     dim = 2**n_modes
@@ -84,6 +99,61 @@ def parity_permutation(n_modes: int) -> np.ndarray:
             out |= acc << m
         mat[out, idx] = 1.0
     return mat
+
+
+# ---------------------------------------------------------------------------
+# Operator products that only the tests need
+# ---------------------------------------------------------------------------
+
+# Single qubit products (a, b) -> (phase, axis) for a * b.
+_SINGLE_PRODUCT = {
+    ("I", "I"): (1.0, "I"),
+    ("I", "X"): (1.0, "X"),
+    ("I", "Y"): (1.0, "Y"),
+    ("I", "Z"): (1.0, "Z"),
+    ("X", "I"): (1.0, "X"),
+    ("Y", "I"): (1.0, "Y"),
+    ("Z", "I"): (1.0, "Z"),
+    ("X", "X"): (1.0, "I"),
+    ("Y", "Y"): (1.0, "I"),
+    ("Z", "Z"): (1.0, "I"),
+    ("X", "Y"): (1.0j, "Z"),
+    ("Y", "X"): (-1.0j, "Z"),
+    ("Y", "Z"): (1.0j, "X"),
+    ("Z", "Y"): (-1.0j, "X"),
+    ("Z", "X"): (1.0j, "Y"),
+    ("X", "Z"): (-1.0j, "Y"),
+}
+
+
+def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
+    """Multiply two Pauli terms, folding the algebraic phase into the coefficient.
+
+    Args:
+        a: Left factor.
+        b: Right factor acting first on kets (standard operator product a*b).
+
+    Returns:
+        The product term with phase-correct coefficient.
+
+    Raises:
+        ValueError: If the two strings act on different register sizes.
+    """
+    if len(a.string) != len(b.string):
+        raise ValueError(
+            f"Pauli string lengths differ: {len(a.string)} != {len(b.string)}"
+        )
+    phase = a.coeff * b.coeff
+    out = []
+    for ca, cb in zip(a.string, b.string):
+        p, axis = _SINGLE_PRODUCT[(ca, cb)]
+        phase *= p
+        out.append(axis)
+    return PauliTerm("".join(out), phase)
+
+
+def commutator(a: FermionPolynomial, b: FermionPolynomial) -> FermionPolynomial:
+    return a * b - b * a
 
 
 # ---------------------------------------------------------------------------

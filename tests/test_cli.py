@@ -11,6 +11,7 @@ import pytest
 
 from qlrlab import jsonable
 from qlrlab.cli import (
+    _coerce,
     _problem_payload,
     _rebuild_problem,
     _rebuild_solution,
@@ -88,11 +89,13 @@ def test_missing_fcidump_is_a_validation_error(tmp_path):
 
 
 def test_bad_active_space_is_a_validation_error(tmp_path):
-    code = run_cli(
-        "ground-state", "--fcidump", H2, "--active", "2:0,9", "--out", tmp_path
-    )
-    assert code == 2
-    assert not (tmp_path / "ground-state.json").exists()
+    # Out of range, odd electron count, duplicate orbital, more active
+    # electrons than electrons: all parse, none is a valid active space.
+    for active in ("2:0,9", "3:0,1", "2:0,0", "6:0"):
+        out = tmp_path / active.replace(":", "_").replace(",", "_")
+        code = run_cli("ground-state", "--fcidump", H2, "--active", active, "--out", out)
+        assert code == 2, active
+        assert not out.exists(), active
 
 
 def test_convergence_failure_exit_code(tmp_path, monkeypatch):
@@ -269,6 +272,42 @@ def test_unknown_config_key_is_rejected(tmp_path):
     ini = tmp_path / "bad.ini"
     ini.write_text("[qlrlab]\nwavelength = 7\n")
     assert run_cli("qlr", "--config", ini, "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("raw, flag", [("yes", True), ("off", False), ("ON", True), ("0", False)])
+def test_coerce_reads_flag_words(raw, flag):
+    assert _coerce("paired", raw, bool) is flag
+
+
+def test_coerce_rejects_an_unknown_flag_word():
+    with pytest.raises(ValueError, match="maybe"):
+        _coerce("paired", "maybe", bool)
+
+
+def test_coerce_reads_integer_text():
+    value = _coerce("shots", "7", int)
+    assert value == 7 and type(value) is int
+
+
+@pytest.mark.parametrize(
+    "settings, flags, message",
+    [
+        ("parametrization = bogus\n", (), "unknown parametrization"),
+        ("mode = bogus\n", (), "unknown mode"),
+        ("mitigation = bogus\n", (), "unknown mitigation kind"),
+        ("", ("--mode", "sampled", "--shots", 0), "requires shots > 0"),
+        ("", ("--runs", 0), "runs must be at least 1"),
+        ("", ("--confusion", "missing.csv"), "confusion CSV not found"),
+    ],
+)
+def test_invalid_config_is_a_validation_error(tmp_path, capsys, settings, flags, message):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[qlrlab]\n" + settings)
+    out = tmp_path / "out"
+    flags = tuple(tmp_path / f if f == "missing.csv" else f for f in flags)
+    assert run_cli("qlr", "--config", ini, *flags, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- campaign ------------------------------------------------------------------------

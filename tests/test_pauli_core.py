@@ -8,12 +8,10 @@ from qlrlab.pauli_core import (
     PauliSum,
     PauliTerm,
     build_spin_adapted_ops,
-    commutator,
     cover_first_fit,
     e_pq,
     jordan_wigner,
     map_to_paulis,
-    multiply,
     parity_map,
     parity_transform_bits,
     qubitwise_commutes,
@@ -21,10 +19,12 @@ from qlrlab.pauli_core import (
 )
 from oracles import (
     apply_ops_to_det,
+    commutator,
     dense_fermion,
     dense_pauli_string,
     dense_pauli_sum,
     enumerate_dets,
+    multiply,
     parity_permutation,
     s_squared_matrix,
     sector_operator,

@@ -9,6 +9,8 @@ from qlrlab.sim_engine import (
     ConvergenceError,
     MeasurementCache,
     NoiseModel,
+    OOVQEObjective,
+    PauliTable,
     Statevector,
     TUCCSDAnsatz,
     apply_exp_pauli,
@@ -18,7 +20,7 @@ from qlrlab.sim_engine import (
     sample_clique,
     sampled_expectation,
 )
-from oracles import dense_pauli_string, dense_pauli_sum, fci
+from oracles import dense_pauli_string, dense_pauli_sum, fci, reference_pauli_action
 
 
 def _random_state(n_qubits, seed):
@@ -47,6 +49,53 @@ def test_pauli_action_matches_dense(seed=21):
         got = pauli_action(state.amplitudes, string)
         want = dense_pauli_string(string) @ state.amplitudes
         assert np.allclose(got, want, atol=1e-12)
+
+
+def test_pauli_table_rows_match_dense(seed=26):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 7):
+        strings = ["I" * n, "Y" * n] + [
+            "".join(rng.choice(list("IXYZ"), size=n)) for _ in range(6)
+        ]
+        table = PauliTable(strings)
+        amps = _random_state(n, int(rng.integers(1 << 30))).amplitudes
+        coeffs = rng.normal(size=len(strings)) + 1j * rng.normal(size=len(strings))
+        want_sum = np.zeros_like(amps)
+        for row, string in enumerate(strings):
+            dense = dense_pauli_string(string)
+            assert table.x[row] == sum(1 << q for q, c in enumerate(string) if c in "XY")
+            assert table.z[row] == sum(1 << q for q, c in enumerate(string) if c in "YZ")
+            assert table.phase[row] == 1j ** string.count("Y")
+            assert np.allclose(table.act(row, amps), dense @ amps, atol=1e-12)
+            angle = float(rng.normal())
+            assert np.allclose(
+                table.exp_act(row, amps, angle),
+                np.cos(angle) * amps + 1j * np.sin(angle) * (dense @ amps),
+                atol=1e-12,
+            )
+            want_sum += coeffs[row] * (dense @ amps)
+        want_means = [np.vdot(amps, dense_pauli_string(s) @ amps).real for s in strings]
+        assert np.allclose(table.expectations(amps), want_means, atol=1e-12)
+        assert table.expectations(amps)[0] == 1.0
+        assert np.allclose(table.combine(coeffs, amps), want_sum, atol=1e-12)
+
+
+def test_one_row_table_is_bit_identical_to_string_action(seed=27):
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        string = "".join(rng.choice(list("IXYZ"), size=n))
+        amps = _random_state(n, int(rng.integers(1 << 30))).amplitudes
+        want = reference_pauli_action(amps, string).tobytes()
+        assert PauliTable([string]).act(0, amps).tobytes() == want
+        assert pauli_action(amps, string).tobytes() == want
+
+
+def test_pauli_table_rejects_mixed_lengths():
+    with pytest.raises(ValueError, match="length"):
+        PauliTable(["XX", "Z"])
+    with pytest.raises(ValueError, match="sizes"):
+        pauli_action(np.ones(4, dtype=complex), "XYZ")
 
 
 def test_exp_pauli_preserves_norm(seed=22):
@@ -317,6 +366,27 @@ def test_oo_vqe_cas_brackets_variational_limits(h6_system, h6_space, h6_ground):
     energies, _, _ = fci(h6_system.h, h6_system.g, h6_system.e_core, 6)
     assert h6_ground.energy <= reference_energy + 1e-12
     assert h6_ground.energy >= energies[0] - 1e-12
+
+
+def test_oo_vqe_energies_and_iterations_are_pinned(h2_ground, h6_ground):
+    assert h2_ground.energy == pytest.approx(-1.137275943617066, abs=1e-10)
+    assert h6_ground.energy == pytest.approx(-3.176655781962254, abs=1e-10)
+    assert (h2_ground.n_iterations, h6_ground.n_iterations) == (3, 23)
+
+
+def test_oo_vqe_gradient_matches_central_differences(h6_system, h6_space, seed=28):
+    objective = OOVQEObjective(h6_system, h6_space)
+    rng = np.random.default_rng(seed)
+    x = 0.1 * rng.normal(size=objective.n_theta + len(objective.pairs))
+    assert objective.n_theta > 0 and len(objective.pairs) > 0
+    _, grad = objective(x)
+    step = 1e-5
+    numeric = np.empty_like(x)
+    for i in range(len(x)):
+        dx = np.zeros_like(x)
+        dx[i] = step
+        numeric[i] = (objective(x + dx)[0] - objective(x - dx)[0]) / (2 * step)
+    assert np.max(np.abs(grad - numeric)) <= 1e-6
 
 
 def test_oo_vqe_rejects_bad_initial_shapes(h2_system, h2_space):
